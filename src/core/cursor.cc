@@ -386,6 +386,7 @@ class StreamingCursor : public ResultCursor {
                                  prepared_->keyword_of(), options_));
         if (profiler_ != nullptr) {
           inline_analyze_ns_ += ElapsedNs(analyze_start);
+          profiler_->AddAnalyzed(1);
         }
       }
       std::vector<double> key = ranker_->SortKey(hit.ToRankInput());

@@ -8,9 +8,12 @@
 //
 // Two implementations sit behind the interface. Materialized-backed
 // cursors (kEnumerate, kMtjnt, kDiscover, kBanks, and degenerate
-// one-keyword kStream) run the method to completion on Open and slice
-// pages from the ranked buffer. The streaming cursor (two-keyword kStream)
-// is genuinely lazy: it owns a ConnectionStream (core/topk.h) and pulls,
+// one-keyword kStream) run the method on Open and slice pages from the
+// ranked buffer. A one-keyword kStream/kEnumerate query with a top_k and
+// a length-monotone ranker does not run to completion: it settles after
+// top_k single-node hits at the length-0 key floor
+// (KeywordSearchEngine::MaterializeHits). The streaming cursor
+// (two-keyword kStream) is genuinely lazy: it owns a ConnectionStream (core/topk.h) and pulls,
 // analyses and settles candidates only as pages are requested — Next(n)
 // extends the settled-k predicate page-wise to the first
 // `returned + n` rank positions, so fetching page 1 of a top-10 query does

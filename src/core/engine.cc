@@ -266,6 +266,15 @@ std::vector<NodePath> EnumerateBetweenSetsSharded(
   return out;
 }
 
+// The match of `tuple` among `km.matches` (sorted by TupleId, as
+// MatchKeywords builds them), or nullptr.
+const TupleMatch* FindMatch(const KeywordMatches& km, const TupleId& tuple) {
+  auto it = std::lower_bound(
+      km.matches.begin(), km.matches.end(), tuple,
+      [](const TupleMatch& m, const TupleId& t) { return m.tuple < t; });
+  return it != km.matches.end() && it->tuple == tuple ? &*it : nullptr;
+}
+
 size_t KindSeverity(AssociationKind kind) {
   switch (kind) {
     case AssociationKind::kImmediate:
@@ -290,16 +299,15 @@ Result<SearchHit> KeywordSearchEngine::AnalyzeTree(
   hit.tree = tree;
   hit.rdb_length = tree.edge_indices.size();
 
-  // Text score: best match per keyword among tuples in the tree.
-  std::set<TupleId> tree_tuples;
-  for (uint32_t node : tree.nodes) {
-    tree_tuples.insert(data_graph_->TupleOf(node));
-  }
+  // Text score: best match per keyword among tuples in the tree. Each
+  // tree tuple is looked up in the keyword's sorted matches, so the cost
+  // follows the tree, not the match count.
   for (const KeywordMatches& km : matches) {
     double best = 0.0;
-    for (const TupleMatch& m : km.matches) {
-      if (tree_tuples.count(m.tuple) == 0) continue;
-      best = std::max(best, ScoreTupleMatch(*index_, km.keyword, m));
+    for (uint32_t node : tree.nodes) {
+      const TupleMatch* m = FindMatch(km, data_graph_->TupleOf(node));
+      if (m == nullptr) continue;
+      best = std::max(best, ScoreTupleMatch(*index_, km.keyword, *m));
     }
     hit.text_score += best;
   }
@@ -308,12 +316,10 @@ Result<SearchHit> KeywordSearchEngine::AnalyzeTree(
     Connection connection = tree.ToConnection(*data_graph_);
     // Orient the path so a tuple matching the first keyword comes first
     // when possible (paper reads connections keyword-to-keyword).
-    if (!matches.empty()) {
-      auto first_set = matches[0].TupleSet();
-      if (first_set.count(connection.front()) == 0 &&
-          first_set.count(connection.back()) > 0) {
-        connection = connection.Reversed();
-      }
+    if (!matches.empty() &&
+        FindMatch(matches[0], connection.front()) == nullptr &&
+        FindMatch(matches[0], connection.back()) != nullptr) {
+      connection = connection.Reversed();
     }
     CLAKS_ASSIGN_OR_RETURN(ConnectionAnalysis analysis,
                            analyzer_->Analyze(connection));
@@ -480,6 +486,7 @@ Result<std::vector<SearchHit>> KeywordSearchEngine::MaterializeHits(
   // engine: no pool is started, no task is scheduled.
   const size_t shards = EffectiveShards(options.shards);
   std::vector<TupleTree> trees;
+  bool single_nodes = false;
   // Candidate generation is the materialized methods' stream stage: the
   // whole bounded result space is produced here. The span/timer pair ends
   // after the switch (std::optional controls the end point without
@@ -499,6 +506,7 @@ Result<std::vector<SearchHit>> KeywordSearchEngine::MaterializeHits(
           tree.nodes = {data_graph_->NodeOf(m.tuple)};
           trees.push_back(std::move(tree));
         }
+        single_nodes = true;
         break;
       }
       CLAKS_CHECK(options.method == SearchMethod::kEnumerate);
@@ -587,7 +595,26 @@ Result<std::vector<SearchHit>> KeywordSearchEngine::MaterializeHits(
   auto analyze_start = std::chrono::steady_clock::now();
   std::optional<TraceSpan> analyze_span;
   analyze_span.emplace("analyze");
-  if (shards > 1 && trees.size() > 1) {
+  if (single_nodes && options.top_k != 0 &&
+      RankerMonotonicity(options.ranker) != RankMonotonicity::kNone) {
+    // Settled-k at length 0: every candidate is a single-node tree, so no
+    // key can fall below MinSortKeyAtLength(ranker, 0), and the stable
+    // rank sort keeps later ties (trees are in TupleId order) behind
+    // earlier ones. Once top_k analyzed hits sit at that floor, no
+    // unanalyzed tree can enter the top-k. Single-node hits are distinct
+    // endpoint groups, so per_endpoint_limit drops none of them. The loop
+    // stays serial under sharding: it analyzes about top_k trees.
+    std::unique_ptr<Ranker> ranker = MakeRanker(options.ranker);
+    const std::vector<double> floor = MinSortKeyAtLength(options.ranker, 0);
+    size_t at_floor = 0;
+    for (size_t i = 0; i < trees.size() && at_floor < options.top_k; ++i) {
+      CLAKS_ASSIGN_OR_RETURN(
+          SearchHit hit,
+          AnalyzeTree(trees[i], matches, prepared.keyword_of(), options));
+      if (!(floor < ranker->SortKey(hit.ToRankInput()))) ++at_floor;
+      hits.push_back(std::move(hit));
+    }
+  } else if (shards > 1 && trees.size() > 1) {
     // Analysis dominates the materialized methods and AnalyzeTree is
     // const + data-race-free on a warmed engine: fan it out. Results are
     // collected in input order, so hits are byte-identical to the serial
@@ -607,6 +634,7 @@ Result<std::vector<SearchHit>> KeywordSearchEngine::MaterializeHits(
   analyze_span.reset();
   if (profiler != nullptr) {
     profiler->Add(QueryProfiler::Stage::kAnalyze, ElapsedNs(analyze_start));
+    profiler->AddAnalyzed(hits.size());
   }
 
   {

@@ -222,7 +222,10 @@ class KeywordSearchEngine {
   /// Analyses one candidate tree into a SearchHit (text scores,
   /// association analysis, instance check, rendering). Internal engine
   /// plumbing shared with core/cursor.cc — streaming cursors analyse
-  /// candidates on pull through this entry point.
+  /// candidates on pull through this entry point. `matches` must be sorted
+  /// by TupleId, as MatchKeywords returns them: each tree tuple is looked
+  /// up by binary search, so one call costs O(|tree| * keywords * log n)
+  /// in the match count n.
   Result<SearchHit> AnalyzeTree(
       const TupleTree& tree, const std::vector<KeywordMatches>& matches,
       const std::map<TupleId, std::string>& keyword_of,
@@ -231,6 +234,9 @@ class KeywordSearchEngine {
   /// Runs `prepared`'s method to completion and returns the fully ranked,
   /// grouped and truncated hit sequence — the backing store of
   /// materialized cursors (every method except two-keyword kStream).
+  /// One-keyword kStream/kEnumerate with top_k != 0 and a length-monotone
+  /// ranker settles early: it stops analyzing once top_k single-node hits
+  /// carry MinSortKeyAtLength(ranker, 0).
   /// `work` (optional) receives the method's work metric (BANKS visited
   /// nodes; 0 for the exhaustive methods); `profiler` (optional) receives
   /// the stream/analyze/rank stage times. Internal plumbing shared with

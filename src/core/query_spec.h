@@ -115,7 +115,9 @@ enum class QuerySpecError {
   /// the requested k.
   kPerEndpointLimitWithBanks,
   /// max_rdb_edges == 0 with kEnumerate/kStream: no connection can ever be
-  /// found (only degenerate single-keyword node hits).
+  /// found (only degenerate single-keyword node hits; those need no
+  /// connection bound, and under a top_k and a length-monotone ranker
+  /// they settle after top_k hits rather than running to completion).
   kZeroMaxRdbEdges,
   /// tmax == 0 with kMtjnt/kDiscover: no joining network can exist.
   kZeroTmax,

@@ -18,11 +18,12 @@ std::string QueryProfile::Summary() const {
   std::string out = StrFormat(
       "total_ms=%.3f validate_ms=%.3f match_ms=%.3f plan_ms=%.3f "
       "stream_ms=%.3f analyze_ms=%.3f rank_ms=%.3f fetch_ms=%.3f "
-      "analyze_tasks=%llu analyze_tasks_ms=%.3f expansions=%zu hits=%zu",
+      "analyze_tasks=%llu analyze_tasks_ms=%.3f expansions=%zu "
+      "analyzed=%zu hits=%zu",
       Ms(total_ns), Ms(validate_ns), Ms(match_ns), Ms(plan_ns),
       Ms(stream_ns), Ms(analyze_ns), Ms(rank_ns), Ms(fetch_ns),
       static_cast<unsigned long long>(analyze_tasks), Ms(analyze_tasks_ns),
-      expansions, hits);
+      expansions, analyzed, hits);
   if (!shard_expansions.empty()) {
     out += StrFormat(" shards=%zu shard_skew=%.2f", shard_expansions.size(),
                      shard_skew.ratio);
@@ -54,7 +55,8 @@ std::string QueryProfile::ToString() const {
         "(overlaps stream)\n",
         static_cast<unsigned long long>(analyze_tasks), Ms(analyze_tasks_ns));
   }
-  out += StrFormat("  expansions: %zu   hits: %zu\n", expansions, hits);
+  out += StrFormat("  expansions: %zu   analyzed: %zu   hits: %zu\n",
+                   expansions, analyzed, hits);
   if (!shard_expansions.empty()) {
     out += StrFormat(
         "  shards: %zu   skew: max=%zu mean=%.1f ratio=%.2f\n",

@@ -63,6 +63,10 @@ struct QueryProfile {
   uint64_t analyze_tasks_ns = 0;
   uint64_t analyze_tasks = 0;
 
+  /// Candidate trees passed to AnalyzeTree, inline and on shard tasks.
+  /// Far below the result space when the query settled early.
+  size_t analyzed = 0;
+
   /// Work counters at snapshot time.
   size_t expansions = 0;
   size_t hits = 0;
@@ -134,6 +138,11 @@ class QueryProfiler {
     }
   }
 
+  /// Counts `n` analysis calls that no AddAnalyzeTask records (inline
+  /// calls, and the materialized methods' parallel analysis, which the
+  /// consumer counts after the join). Consumer thread only.
+  void AddAnalyzed(size_t n) { analyzed_ += n; }
+
   /// Records one analysis call executed on a shard-pool task. Safe from
   /// any thread.
   void AddAnalyzeTask(uint64_t ns) {
@@ -184,6 +193,8 @@ class QueryProfiler {
         analyze_tasks_ns_.load(std::memory_order_relaxed);
     profile.analyze_tasks =
         analyze_tasks_.load(std::memory_order_relaxed);
+    profile.analyzed =
+        analyzed_ + static_cast<size_t>(profile.analyze_tasks);
     profile.expansions = expansions;
     profile.hits = hits;
     profile.shard_skew = ComputeSkew(shard_expansions);
@@ -200,6 +211,7 @@ class QueryProfiler {
   uint64_t rank_ns_ = 0;
   uint64_t fetch_ns_ = 0;
   uint64_t total_ns_ = 0;
+  size_t analyzed_ = 0;
   std::atomic<uint64_t> analyze_tasks_ns_{0};
   std::atomic<uint64_t> analyze_tasks_{0};
 };

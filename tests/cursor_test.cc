@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -412,6 +414,78 @@ TEST(CursorScaleTest, StreamPageOneAt100xBeatsDraining) {
   std::vector<std::string> top10 = Fingerprints(one_shot->hits);
   EXPECT_EQ(Fingerprints(*page1),
             std::vector<std::string>(top10.begin(), top10.begin() + 3));
+}
+
+// One-keyword kStream/kEnumerate settles after top_k single-node hits
+// under a length-monotone ranker: every hit sits at the length-0 key
+// floor, so the first top_k matches in TupleId order are the answer. The
+// top-k hits must equal the top_k == 0 drain's prefix byte for byte, and
+// the profile must show that only min(top_k, n) trees were analyzed
+// (all n for the kNone rankers) — at every shard count.
+TEST(CursorScaleTest, OneKeywordTopKSettlesAfterKHits) {
+  auto generated = GenerateCompanyDataset(CompanyGenOptions::AtScale(10));
+  ASSERT_TRUE(generated.ok());
+  GeneratedDataset dataset = std::move(generated).ValueOrDie();
+  auto engine_or = KeywordSearchEngine::Create(
+      dataset.db.get(), dataset.er_schema, dataset.mapping);
+  ASSERT_TRUE(engine_or.ok());
+  auto engine = std::move(engine_or).ValueOrDie();
+
+  std::vector<size_t> shard_counts = {1, 2, 4};
+  if (const char* forced = std::getenv("CLAKS_TEST_SHARDS")) {
+    shard_counts = {static_cast<size_t>(std::strtoull(forced, nullptr, 10))};
+    ASSERT_GT(shard_counts[0], 0u);
+  }
+
+  for (SearchMethod method :
+       {SearchMethod::kStream, SearchMethod::kEnumerate}) {
+    for (RankerKind ranker : kAllRankers) {
+      const bool monotone =
+          RankerMonotonicity(ranker) != RankMonotonicity::kNone;
+      for (size_t per_endpoint_limit : {0u, 1u}) {
+        for (bool instance_check : {false, true}) {
+          SearchOptions options;
+          options.method = method;
+          options.ranker = ranker;
+          options.per_endpoint_limit = per_endpoint_limit;
+          options.instance_check = instance_check;
+          options.profile = true;
+          options.top_k = 0;
+          auto drain = engine->Search("smith", options);
+          ASSERT_TRUE(drain.ok());
+          const size_t n = drain->matches[0].matches.size();
+          ASSERT_GT(n, 10u);
+          std::vector<std::string> expected = Fingerprints(drain->hits);
+          ASSERT_EQ(expected.size(), n);
+          ASSERT_EQ(drain->profile->analyzed, n);
+
+          for (size_t shards : shard_counts) {
+            for (size_t top_k : {size_t{1}, size_t{10}, n + 5}) {
+              std::string where =
+                  std::string(SearchMethodToString(method)) + "/" +
+                  RankerKindToString(ranker) +
+                  " pel=" + std::to_string(per_endpoint_limit) +
+                  " ic=" + std::to_string(instance_check) +
+                  " shards=" + std::to_string(shards) +
+                  " top_k=" + std::to_string(top_k);
+              options.shards = shards;
+              options.top_k = top_k;
+              auto top = engine->Search("smith", options);
+              ASSERT_TRUE(top.ok()) << where;
+              const size_t kept = std::min(top_k, n);
+              EXPECT_EQ(Fingerprints(top->hits),
+                        std::vector<std::string>(expected.begin(),
+                                                 expected.begin() + kept))
+                  << where;
+              ASSERT_TRUE(top->profile.has_value()) << where;
+              EXPECT_EQ(top->profile->analyzed, monotone ? kept : n)
+                  << where;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
