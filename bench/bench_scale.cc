@@ -6,14 +6,8 @@
 // generation, FK join-index build, CSR data-graph construction, engine
 // creation), per-method query latency and result counts, and the speedup
 // of the indexed execution paths over the seed scan paths (FK edge
-// resolution and DISCOVER candidate-network evaluation). Since
-// schema_version 2 each scale also sweeps intra-query sharding
-// (--shards=1,2,4): the hash partition's node/edge balance
-// (MakeShardPartition skew, max/mean), and a streaming top-k query run
-// per shard count with per-shard expansion counters and the latency
-// speedup over shards=1 — interpret speedups against the recorded
-// hardware_threads (a single-core runner cannot show wall-clock wins).
-// Since schema_version 3 each scale also exercises the storage subsystem
+// resolution and DISCOVER candidate-network evaluation). Each scale also
+// exercises the storage subsystem
 // (src/storage/): the warmed engine is serialized to a snapshot file and
 // mmap-loaded back, recording save/load wall times, the file size, and
 // the headline cold-start comparison — load-snapshot-to-first-query vs
@@ -34,7 +28,6 @@
 
 #include "core/engine.h"
 #include "core/mtjnt.h"
-#include "core/shard.h"
 #include "datasets/company_gen.h"
 #include "storage/snapshot.h"
 
@@ -68,22 +61,6 @@ struct QueryRecord {
   size_t results = 0;
 };
 
-/// max/mean over per-shard counters: 1.0 = perfectly balanced. Thin
-/// shim over the shared skew math in observability/metrics.h.
-double Skew(const std::vector<size_t>& per_shard) {
-  return claks::ComputeSkew(per_shard).ratio;
-}
-
-struct ShardScaleRecord {
-  size_t shards = 1;
-  double node_skew = 1.0;  // MakeShardPartition node balance
-  double edge_skew = 1.0;  // owned-edge balance
-  double stream_ms = 0.0;
-  size_t expansions = 0;
-  std::vector<size_t> per_shard;  // expansion counters (empty at 1)
-  bool identical = true;          // hits vs the shards=1 run
-};
-
 struct SnapshotRecord {
   double save_ms = 0.0;    // Warmup + serialize to disk (one-shot)
   size_t file_bytes = 0;   // page-aligned snapshot size
@@ -111,8 +88,6 @@ struct ScaleRecord {
   double discover_eval_indexed_ms = 0.0;
   double discover_eval_scan_ms = 0.0;
   bool discover_eval_equal = true;
-  std::string shard_query;
-  std::vector<ShardScaleRecord> shard_sweep;
   SnapshotRecord snapshot;
 };
 
@@ -122,8 +97,7 @@ struct ScaleRecord {
 const char* kQueries[] = {"smith xml", "smith xml alice",
                           "retrieval databases"};
 
-ScaleRecord RunScale(size_t scale, size_t tmax, size_t reps,
-                     const std::vector<size_t>& shard_counts) {
+ScaleRecord RunScale(size_t scale, size_t tmax, size_t reps) {
   ScaleRecord record;
   record.scale = scale;
 
@@ -240,53 +214,6 @@ ScaleRecord RunScale(size_t scale, size_t tmax, size_t reps,
     CLAKS_CHECK(record.discover_eval_equal);
   }
 
-  // Intra-query sharding sweep: partition balance of the hash partition
-  // at each shard count, plus a streaming top-k run per count. Result
-  // order must stay identical at every shard count (the differential
-  // suite's guarantee, re-checked here on the benchmark instance).
-  {
-    record.shard_query = kQueries[2];
-    claks::SearchOptions options;
-    options.method = claks::SearchMethod::kStream;
-    options.ranker = claks::RankerKind::kRdbLength;
-    options.top_k = 10;
-    options.max_rdb_edges = tmax - 1;
-
-    std::vector<claks::TupleTree> unsharded;
-    bool have_baseline = false;
-    for (size_t shards : shard_counts) {
-      ShardScaleRecord sr;
-      sr.shards = shards;
-      claks::ShardPartition partition =
-          claks::MakeShardPartition(engine->data_graph(), shards);
-      sr.node_skew = Skew(partition.node_counts);
-      sr.edge_skew = Skew(partition.edge_counts);
-
-      options.shards = shards;
-      claks::SearchResult sharded;
-      sr.stream_ms = TimeMs(reps, [&] {
-        auto result = engine->Search(record.shard_query, options);
-        CLAKS_CHECK(result.ok());
-        sharded = std::move(result).ValueOrDie();
-      });
-      sr.expansions = sharded.expansions;
-      sr.per_shard = sharded.shard_expansions;
-
-      std::vector<claks::TupleTree> trees;
-      for (const claks::SearchHit& hit : sharded.hits) {
-        trees.push_back(hit.tree);
-      }
-      if (shards == 1) {
-        unsharded = std::move(trees);
-        have_baseline = true;
-      } else if (have_baseline) {
-        sr.identical = trees == unsharded;
-        CLAKS_CHECK(sr.identical);
-      }
-      record.shard_sweep.push_back(std::move(sr));
-    }
-  }
-
   // Storage subsystem: serialize the warmed generation, mmap it back,
   // and time the cold-start-to-first-query path against the
   // generate-and-build path it replaces.
@@ -352,7 +279,7 @@ void WriteJson(std::FILE* f, const std::vector<ScaleRecord>& records,
                size_t tmax, size_t reps) {
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"benchmark\": \"bench_scale\",\n");
-  std::fprintf(f, "  \"schema_version\": 3,\n");
+  std::fprintf(f, "  \"schema_version\": 4,\n");
   std::fprintf(f, "  \"dataset\": \"company_gen\",\n");
   std::fprintf(f, "  \"tmax\": %zu,\n", tmax);
   std::fprintf(f, "  \"reps\": %zu,\n", reps);
@@ -413,34 +340,7 @@ void WriteJson(std::FILE* f, const std::vector<ScaleRecord>& records,
     std::fprintf(f, "        \"cold_start\": %.2f\n",
                  Ratio(r.snapshot.build_first_query_ms,
                        r.snapshot.cold_start_first_query_ms));
-    std::fprintf(f, "      },\n");
-    // Shard sweep: speedup vs the shards=1 rung, skews are max/mean.
-    double unsharded_ms = 0.0;
-    for (const ShardScaleRecord& sr : r.shard_sweep) {
-      if (sr.shards == 1) unsharded_ms = sr.stream_ms;
-    }
-    std::fprintf(f, "      \"shard_query\": \"%s\",\n",
-                 r.shard_query.c_str());
-    std::fprintf(f, "      \"shards\": [\n");
-    for (size_t s = 0; s < r.shard_sweep.size(); ++s) {
-      const ShardScaleRecord& sr = r.shard_sweep[s];
-      std::fprintf(f,
-                   "        {\"shards\": %zu, \"node_skew\": %.2f, "
-                   "\"edge_skew\": %.2f, \"stream_ms\": %.3f, "
-                   "\"expansions\": %zu, \"per_shard_expansions\": [",
-                   sr.shards, sr.node_skew, sr.edge_skew, sr.stream_ms,
-                   sr.expansions);
-      for (size_t p = 0; p < sr.per_shard.size(); ++p) {
-        std::fprintf(f, "%s%zu", p == 0 ? "" : ", ", sr.per_shard[p]);
-      }
-      std::fprintf(f,
-                   "], \"work_skew\": %.2f, \"identical_results\": %s, "
-                   "\"speedup_vs_unsharded\": %.2f}%s\n",
-                   Skew(sr.per_shard), sr.identical ? "true" : "false",
-                   Ratio(unsharded_ms, sr.stream_ms),
-                   s + 1 < r.shard_sweep.size() ? "," : "");
-    }
-    std::fprintf(f, "      ]\n");
+    std::fprintf(f, "      }\n");
     std::fprintf(f, "    }%s\n", i + 1 < records.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n");
@@ -466,7 +366,6 @@ std::vector<size_t> ParseScales(const std::string& spec) {
 
 int main(int argc, char** argv) {
   std::vector<size_t> scales{1, 10, 100};
-  std::vector<size_t> shard_counts{1, 2, 4};
   std::string out_path = "BENCH_scale.json";
   size_t tmax = 4;
   size_t reps = 3;
@@ -475,8 +374,6 @@ int main(int argc, char** argv) {
     std::string arg = argv[i];
     if (arg.rfind("--scales=", 0) == 0) {
       scales = ParseScales(arg.substr(9));
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      shard_counts = ParseScales(arg.substr(9));
     } else if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(6);
     } else if (arg.rfind("--tmax=", 0) == 0) {
@@ -486,25 +383,22 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "unknown flag '%s' (supported: --scales=1,10,100 "
-                   "--shards=1,2,4 --out=FILE --tmax=N --reps=N)\n",
+                   "--out=FILE --tmax=N --reps=N)\n",
                    arg.c_str());
       return 2;
     }
   }
-  if (scales.empty() || shard_counts.empty() || tmax < 2 || reps == 0 ||
-      std::find(scales.begin(), scales.end(), 0u) != scales.end() ||
-      std::find(shard_counts.begin(), shard_counts.end(), 0u) !=
-          shard_counts.end()) {
+  if (scales.empty() || tmax < 2 || reps == 0 ||
+      std::find(scales.begin(), scales.end(), 0u) != scales.end()) {
     std::fprintf(stderr,
-                 "invalid flags: need scales >= 1, shards >= 1, tmax >= 2, "
-                 "reps >= 1\n");
+                 "invalid flags: need scales >= 1, tmax >= 2, reps >= 1\n");
     return 2;
   }
 
   std::vector<ScaleRecord> records;
   for (size_t scale : scales) {
     std::printf("scale %zux ...\n", scale);
-    ScaleRecord record = RunScale(scale, tmax, reps, shard_counts);
+    ScaleRecord record = RunScale(scale, tmax, reps);
     std::printf(
         "  rows %zu, fk edges %zu | gen %.1fms, fk scan %.1fms, "
         "join index %.1fms, csr %.1fms, engine %.1fms\n",
@@ -519,18 +413,6 @@ int main(int argc, char** argv) {
                 record.discover_eval_indexed_ms, record.discover_eval_scan_ms,
                 Ratio(record.discover_eval_scan_ms,
                       record.discover_eval_indexed_ms));
-    double unsharded_ms = 0.0;
-    for (const ShardScaleRecord& sr : record.shard_sweep) {
-      if (sr.shards == 1) unsharded_ms = sr.stream_ms;
-    }
-    for (const ShardScaleRecord& sr : record.shard_sweep) {
-      std::printf(
-          "  shards=%zu: stream %-22s %8.2fms  %6zu expansions "
-          "(node skew %.2f, work skew %.2f, %.2fx vs unsharded)\n",
-          sr.shards, record.shard_query.c_str(), sr.stream_ms,
-          sr.expansions, sr.node_skew, Skew(sr.per_shard),
-          Ratio(unsharded_ms, sr.stream_ms));
-    }
     std::printf(
         "  snapshot: save %.1fms (%zu bytes), load %.2fms | cold start "
         "%.2fms vs build %.1fms (%.0fx)\n",

@@ -13,12 +13,7 @@
 // paged consumption trace: a prepared-query cursor (core/cursor.h) over
 // the streaming method, fetched page by page, with per-page latency and
 // the cumulative expansion count after each page — the work metric of
-// incremental consumption. Since schema_version 3 each query also sweeps
-// intra-query sharding (--shards=1,2,4): the streaming top-k run repeated
-// per shard count, with per-shard expansion counters (work skew), the
-// identical-keys check against the unsharded run, and the latency speedup
-// over shards=1 — interpret speedups against the recorded
-// hardware_threads (a single-core runner cannot show wall-clock wins).
+// incremental consumption.
 // The JSON schema is documented in docs/BENCHMARKS.md; CI uploads the
 // 1x/10x run as an artifact.
 
@@ -35,7 +30,6 @@
 #include "core/cursor.h"
 #include "core/engine.h"
 #include "datasets/company_gen.h"
-#include "observability/metrics.h"
 
 namespace {
 
@@ -90,16 +84,6 @@ struct PageRecord {
   size_t expansions = 0;  // cumulative after this page
 };
 
-struct ShardRecord {
-  size_t shards = 1;
-  double stream_topk_ms = 0.0;
-  size_t expansions = 0;
-  /// Per-shard expansion counters (empty at shards=1): the work-skew
-  /// axis of the sweep.
-  std::vector<size_t> per_shard;
-  bool keys_identical = true;  // vs the shards=1 run
-};
-
 struct QueryRecord {
   std::string query;
   size_t results_full = 0;
@@ -113,9 +97,6 @@ struct QueryRecord {
   size_t page_size = 0;
   bool paged_identical = true;
   std::vector<PageRecord> pages;
-  // Intra-query sharding sweep over the streaming top-k run.
-  std::string shard_ranker;
-  std::vector<ShardRecord> shard_sweep;
 };
 
 struct ScaleRecord {
@@ -130,7 +111,7 @@ const claks::RankerKind kTopkRankers[] = {claks::RankerKind::kRdbLength,
                                           claks::RankerKind::kCloseFirst};
 
 ScaleRecord RunScale(size_t scale, size_t top_k, size_t max_edges,
-                     size_t reps, const std::vector<size_t>& shard_counts) {
+                     size_t reps) {
   ScaleRecord record;
   record.scale = scale;
 
@@ -238,43 +219,6 @@ ScaleRecord RunScale(size_t scale, size_t top_k, size_t max_edges,
                            KeySequence(paged, options.ranker);
       CLAKS_CHECK(qr.paged_identical);
     }
-
-    // Intra-query sharding sweep: the same streaming top-k query fanned
-    // out over N seed shards (core/shard.h). Results must stay
-    // byte-identical at every shard count; the per-shard expansion
-    // counters record the work skew of the partition.
-    {
-      claks::SearchOptions options = base;
-      options.method = claks::SearchMethod::kStream;
-      options.ranker = claks::RankerKind::kRdbLength;
-      options.top_k = top_k;
-      qr.shard_ranker = claks::RankerKindToString(options.ranker);
-
-      claks::SearchResult unsharded;
-      bool have_baseline = false;
-      for (size_t shards : shard_counts) {
-        options.shards = shards;
-        ShardRecord sr;
-        sr.shards = shards;
-        claks::SearchResult sharded;
-        sr.stream_topk_ms = TimeMs(reps, [&] {
-          auto result = engine->Search(query, options);
-          CLAKS_CHECK(result.ok());
-          sharded = std::move(result).ValueOrDie();
-        });
-        sr.expansions = sharded.expansions;
-        sr.per_shard = sharded.shard_expansions;
-        if (shards == 1) {
-          unsharded = sharded;
-          have_baseline = true;
-        } else if (have_baseline) {
-          sr.keys_identical = KeySequence(unsharded, options.ranker) ==
-                              KeySequence(sharded, options.ranker);
-          CLAKS_CHECK(sr.keys_identical);
-        }
-        qr.shard_sweep.push_back(std::move(sr));
-      }
-    }
     record.queries.push_back(std::move(qr));
   }
   return record;
@@ -284,17 +228,11 @@ double Ratio(double baseline, double value) {
   return value > 0.0 ? baseline / value : 0.0;
 }
 
-/// max/mean over the per-shard counters: 1.0 = perfectly balanced work.
-/// Thin shim over the shared skew math in observability/metrics.h.
-double WorkSkew(const std::vector<size_t>& per_shard) {
-  return claks::ComputeSkew(per_shard).ratio;
-}
-
 void WriteJson(std::FILE* f, const std::vector<ScaleRecord>& records,
                size_t top_k, size_t max_edges, size_t reps) {
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"benchmark\": \"bench_stream\",\n");
-  std::fprintf(f, "  \"schema_version\": 3,\n");
+  std::fprintf(f, "  \"schema_version\": 4,\n");
   std::fprintf(f, "  \"dataset\": \"company_gen\",\n");
   std::fprintf(f, "  \"top_k\": %zu,\n", top_k);
   std::fprintf(f, "  \"max_rdb_edges\": %zu,\n", max_edges);
@@ -351,34 +289,7 @@ void WriteJson(std::FILE* f, const std::vector<ScaleRecord>& records,
                      p == 0 ? "" : ", ", p + 1, pr.latency_ms, pr.hits,
                      pr.expansions);
       }
-      std::fprintf(f, "]},\n");
-      // Shard sweep: latency speedup vs the shards=1 rung of the same
-      // sweep, work skew = max/mean of the per-shard counters.
-      double unsharded_ms = 0.0;
-      for (const ShardRecord& sr : qr.shard_sweep) {
-        if (sr.shards == 1) unsharded_ms = sr.stream_topk_ms;
-      }
-      std::fprintf(f, "          \"shard_ranker\": \"%s\",\n",
-                   qr.shard_ranker.c_str());
-      std::fprintf(f, "          \"shards\": [\n");
-      for (size_t s = 0; s < qr.shard_sweep.size(); ++s) {
-        const ShardRecord& sr = qr.shard_sweep[s];
-        std::fprintf(f,
-                     "            {\"shards\": %zu, \"stream_topk_ms\": "
-                     "%.3f, \"expansions\": %zu, \"per_shard_expansions\": [",
-                     sr.shards, sr.stream_topk_ms, sr.expansions);
-        for (size_t p = 0; p < sr.per_shard.size(); ++p) {
-          std::fprintf(f, "%s%zu", p == 0 ? "" : ", ", sr.per_shard[p]);
-        }
-        std::fprintf(f,
-                     "], \"work_skew\": %.2f, \"keys_identical\": %s, "
-                     "\"speedup_vs_unsharded\": %.2f}%s\n",
-                     WorkSkew(sr.per_shard),
-                     sr.keys_identical ? "true" : "false",
-                     Ratio(unsharded_ms, sr.stream_topk_ms),
-                     s + 1 < qr.shard_sweep.size() ? "," : "");
-      }
-      std::fprintf(f, "          ]\n");
+      std::fprintf(f, "]}\n");
       std::fprintf(f, "        }%s\n",
                    q + 1 < r.queries.size() ? "," : "");
     }
@@ -406,7 +317,6 @@ std::vector<size_t> ParseScales(const std::string& spec) {
 
 int main(int argc, char** argv) {
   std::vector<size_t> scales{1, 10, 100};
-  std::vector<size_t> shard_counts{1, 2, 4};
   std::string out_path = "BENCH_stream.json";
   size_t top_k = 10;
   size_t max_edges = 3;
@@ -416,8 +326,6 @@ int main(int argc, char** argv) {
     std::string arg = argv[i];
     if (arg.rfind("--scales=", 0) == 0) {
       scales = ParseScales(arg.substr(9));
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      shard_counts = ParseScales(arg.substr(9));
     } else if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(6);
     } else if (arg.rfind("--top_k=", 0) == 0) {
@@ -429,29 +337,23 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "unknown flag '%s' (supported: --scales=1,10,100 "
-                   "--shards=1,2,4 --out=FILE --top_k=N --max_edges=N "
-                   "--reps=N)\n",
+                   "--out=FILE --top_k=N --max_edges=N --reps=N)\n",
                    arg.c_str());
       return 2;
     }
   }
-  if (scales.empty() || shard_counts.empty() || top_k == 0 ||
-      max_edges == 0 || reps == 0 ||
-      std::find(scales.begin(), scales.end(), 0u) != scales.end() ||
-      std::find(shard_counts.begin(), shard_counts.end(), 0u) !=
-          shard_counts.end()) {
-    std::fprintf(
-        stderr,
-        "invalid flags: need scales >= 1, shards >= 1, top_k >= 1, "
-        "max_edges >= 1, reps >= 1\n");
+  if (scales.empty() || top_k == 0 || max_edges == 0 || reps == 0 ||
+      std::find(scales.begin(), scales.end(), 0u) != scales.end()) {
+    std::fprintf(stderr,
+                 "invalid flags: need scales >= 1, top_k >= 1, "
+                 "max_edges >= 1, reps >= 1\n");
     return 2;
   }
 
   std::vector<ScaleRecord> records;
   for (size_t scale : scales) {
     std::printf("scale %zux ...\n", scale);
-    ScaleRecord record = RunScale(scale, top_k, max_edges, reps,
-                                  shard_counts);
+    ScaleRecord record = RunScale(scale, top_k, max_edges, reps);
     for (const QueryRecord& qr : record.queries) {
       std::printf(
           "  %-22s enumerate %8.2fms (%zu results) | stream drain "
@@ -466,18 +368,6 @@ int main(int argc, char** argv) {
             Ratio(static_cast<double>(qr.expansions_full),
                   static_cast<double>(tr.expansions_topk)),
             Ratio(qr.enumerate_ms, tr.stream_topk_ms));
-      }
-      double unsharded_ms = 0.0;
-      for (const ShardRecord& sr : qr.shard_sweep) {
-        if (sr.shards == 1) unsharded_ms = sr.stream_topk_ms;
-      }
-      for (const ShardRecord& sr : qr.shard_sweep) {
-        std::printf(
-            "    shards=%zu %-11s %8.2fms  %8zu expansions  (skew %.2f, "
-            "%.2fx vs unsharded)\n",
-            sr.shards, qr.shard_ranker.c_str(), sr.stream_topk_ms,
-            sr.expansions, WorkSkew(sr.per_shard),
-            Ratio(unsharded_ms, sr.stream_topk_ms));
       }
     }
     records.push_back(std::move(record));

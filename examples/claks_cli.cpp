@@ -17,9 +17,6 @@
 //   --depth=N           max FK edges for enumerate/stream (default 4)
 //   --tmax=N            max tuples for mtjnt/discover (default 5)
 //   --top=N             result cap (default 10)
-//   --shards=N          intra-query sharding: fan one query out over N
-//                       seed shards (default 1 = single-threaded;
-//                       results are identical for every N)
 //   --page-size=N       incremental paging: prepare the query, open a
 //                       cursor and fetch N hits at a time (interactive:
 //                       waits for Enter between pages when stdin is a
@@ -51,8 +48,7 @@
 //
 // Observability (src/observability/):
 //   --profile           attach a per-stage QueryProfile to every query
-//                       and print it (wall time per stage, expansions,
-//                       per-shard skew)
+//                       and print it (wall time per stage, expansions)
 //   --trace-out=FILE    record TraceSpans for the whole run and write
 //                       them as Chrome trace_event JSON to FILE — load it
 //                       in chrome://tracing or Perfetto (requires a
@@ -108,7 +104,6 @@ struct Flags {
   size_t depth = 4;
   size_t tmax = 5;
   size_t top = 10;
-  size_t shards = 1;  // > 1: intra-query sharding (core/shard.h)
   size_t page_size = 0;  // > 0: prepared-query + cursor paging
   bool explain = false;
   bool sql = false;
@@ -160,10 +155,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     }
     if (ParseFlag(argv[i], "page-size", &value)) {
       flags->page_size = std::stoul(value);
-      continue;
-    }
-    if (ParseFlag(argv[i], "shards", &value)) {
-      flags->shards = std::stoul(value);
       continue;
     }
     if (ParseFlag(argv[i], "queries", &flags->queries)) continue;
@@ -623,7 +614,6 @@ int main(int argc, char** argv) {
   options.max_rdb_edges = flags.depth;
   options.tmax = flags.tmax;
   options.top_k = flags.top;
-  options.shards = flags.shards;
   options.profile = flags.profile;
   std::optional<claks::SearchMethod> method =
       claks::SearchMethodFromString(flags.method);

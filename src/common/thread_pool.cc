@@ -13,7 +13,7 @@ namespace claks {
 namespace {
 
 // Pool health metrics, aggregated over every pool in the process (the
-// service admission pool and the engines' intra-query shard pools).
+// service admission pool and the snapshot loader's pool).
 // The queue-depth gauge tracks enqueue/dequeue exactly while recording
 // is on; toggling recording mid-flight (the bench's A/B switch) can
 // skew its level until the queues next drain.

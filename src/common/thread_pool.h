@@ -2,13 +2,12 @@
 //
 // Fixed-size worker thread pool with a bounded submission queue. Two
 // consumers share it: the concurrent query service uses one as its
-// admission-control front (service/search_service.h), and the intra-query
-// sharding layer runs per-shard scatter tasks on one (core/shard.h).
+// admission-control front (service/search_service.h), and the snapshot
+// loader decodes table sections on one (storage/snapshot.cc).
 // Submit blocks (never drops) once `queue_capacity` tasks are waiting, so
 // a burst of work exerts backpressure on the producer instead of growing
 // memory without bound; the worker count bounds CPU concurrency the same
-// way. Lived in src/service/ until the sharded engine needed it below the
-// service layer; service/thread_pool.h forwards here.
+// way.
 
 #ifndef CLAKS_COMMON_THREAD_POOL_H_
 #define CLAKS_COMMON_THREAD_POOL_H_

@@ -9,7 +9,6 @@
 
 #include "common/logging.h"
 #include "common/macros.h"
-#include "core/shard.h"
 #include "core/topk.h"
 #include "observability/trace.h"
 
@@ -119,7 +118,7 @@ class MaterializedCursor : public ResultCursor {
     stats.expansions = work_;
     stats.drained = Drained();
     if (profiler_ != nullptr) {
-      stats.profile = profiler_->Snapshot(work_, offset_, {});
+      stats.profile = profiler_->Snapshot(work_, offset_);
     }
     return stats;
   }
@@ -202,48 +201,16 @@ class StreamingCursor : public ResultCursor {
                   RankMonotonicity::kNone),
         profiler_(MakeProfiler(*prepared)) {
     CLAKS_CHECK(ranker_ != nullptr);
-    // Construction is the plan stage: seed partitioning and per-shard
-    // stream setup happen here, before the first possible pull.
+    // Construction is the plan stage: stream setup happens here, before
+    // the first possible pull.
     QueryProfiler::ScopedTimer total(profiler_.get(),
                                      QueryProfiler::Stage::kTotal);
     QueryProfiler::ScopedTimer plan(profiler_.get(),
                                     QueryProfiler::Stage::kPlan);
-    TraceSpan span("seed-partition");
-    size_t shards = EffectiveShards(options_.shards);
-    if (shards > 1) {
-      // Scatter-gather: per-shard streams on the engine's intra-query
-      // pool, analysed on the shard tasks, merged back into exactly the
-      // unsharded emission order (core/shard.h). The settle predicate
-      // below stays global — its stop bound pauses shards, never drains
-      // them. Non-monotone rankers pass kNoStopLength through the same
-      // code path, which degrades to full per-shard drain + merge.
-      sharded_ = std::make_unique<ShardedStreamSource>(
-          &engine_->data_graph(), MatchNodes(prepared, 0),
-          MatchNodes(prepared, 1), options_.max_rdb_edges, shards,
-          &engine_->shard_context().pool(), [this](const NodePath& path) {
-            // Runs on a shard fill task: the trace span parents under the
-            // task's shard-fill span via the thread-local chain, and the
-            // time lands in the profiler's cross-thread analyze-task
-            // accumulators (it overlaps the consumer's stream wait).
-            TraceSpan analyze_span("analyze");
-            if (profiler_ == nullptr) {
-              return engine_->AnalyzeTree(CanonicalTree(path),
-                                          prepared_->matches(),
-                                          prepared_->keyword_of(), options_);
-            }
-            auto start = QueryProfiler::Clock::now();
-            Result<SearchHit> hit = engine_->AnalyzeTree(
-                CanonicalTree(path), prepared_->matches(),
-                prepared_->keyword_of(), options_);
-            profiler_->AddAnalyzeTask(ElapsedNs(start));
-            return hit;
-          });
-    } else {
-      // The single-threaded path, bit-for-bit the pre-sharding cursor.
-      stream_.emplace(ConnectionStream::Bidirectional(
-          &engine_->data_graph(), MatchNodes(prepared, 0),
-          MatchNodes(prepared, 1), options_.max_rdb_edges));
-    }
+    TraceSpan span("stream-open");
+    stream_.emplace(ConnectionStream::Bidirectional(
+        &engine_->data_graph(), MatchNodes(prepared, 0),
+        MatchNodes(prepared, 1), options_.max_rdb_edges));
     if (!monotone_ && options_.top_k != 0) {
       CLAKS_LOG(Warning)
           << "kStream: ranker '" << RankerKindToString(options_.ranker)
@@ -289,16 +256,10 @@ class StreamingCursor : public ResultCursor {
   CursorStats Stats() const override {
     CursorStats stats;
     stats.returned = emitted_;
-    if (sharded_ != nullptr) {
-      stats.expansions = sharded_->TotalExpansions();
-      stats.shard_expansions = sharded_->ShardExpansions();
-    } else {
-      stats.expansions = stream_->expansions();
-    }
+    stats.expansions = stream_->expansions();
     stats.drained = finished_;
     if (profiler_ != nullptr) {
-      stats.profile = profiler_->Snapshot(stats.expansions, stats.returned,
-                                          stats.shard_expansions);
+      stats.profile = profiler_->Snapshot(stats.expansions, stats.returned);
     }
     return stats;
   }
@@ -332,18 +293,17 @@ class StreamingCursor : public ResultCursor {
   }
 
   /// Timing shell around the pull loop: the stream stage is everything
-  /// the loop does on the consumer thread (pulling/waiting on the
-  /// stream or the shard merge, settle bookkeeping) MINUS the inline
-  /// analysis time, which PullLoop accumulates separately — subtracting
-  /// instead of nesting keeps the two stages disjoint with no untimed
-  /// gap, so the profile's stage-sum contract holds.
+  /// the loop does (pulling from the stream, settle bookkeeping) MINUS
+  /// the analysis time, which PullLoop accumulates separately —
+  /// subtracting instead of nesting keeps the two stages disjoint with
+  /// no untimed gap, so the profile's stage-sum contract holds.
   Status Pull(size_t want, bool settle) {
     if (profiler_ == nullptr) return PullLoop(want, settle);
     auto start = QueryProfiler::Clock::now();
-    inline_analyze_ns_ = 0;
+    analyze_ns_ = 0;
     Status status = PullLoop(want, settle);
     uint64_t elapsed = ElapsedNs(start);
-    uint64_t analyze = std::min(inline_analyze_ns_, elapsed);
+    uint64_t analyze = std::min(analyze_ns_, elapsed);
     profiler_->Add(QueryProfiler::Stage::kAnalyze, analyze);
     profiler_->Add(QueryProfiler::Stage::kStream, elapsed - analyze);
     return status;
@@ -356,26 +316,13 @@ class StreamingCursor : public ResultCursor {
                       ? SettleLength(keys_, groups_, want, options_, &bar)
                       : ConnectionStream::kNoStopLength;
     while (true) {
+      std::optional<NodePath> path = stream_->NextPath(stop);
+      if (!path.has_value()) {
+        if (!stream_->PendingLength().has_value()) exhausted_ = true;
+        return Status::OK();
+      }
       SearchHit hit;
-      if (sharded_ != nullptr) {
-        // Merged emissions arrive in the unsharded stream's order with
-        // analysis already done on the shard tasks; everything from the
-        // sort key on is shared with the single-stream path, so both
-        // produce byte-identical pages under any stop schedule.
-        CLAKS_ASSIGN_OR_RETURN(
-            std::optional<ShardedStreamSource::Emission> emission,
-            sharded_->Next(stop));
-        if (!emission.has_value()) {
-          if (!sharded_->PendingLength().has_value()) exhausted_ = true;
-          return Status::OK();
-        }
-        hit = std::move(emission->hit);
-      } else {
-        std::optional<NodePath> path = stream_->NextPath(stop);
-        if (!path.has_value()) {
-          if (!stream_->PendingLength().has_value()) exhausted_ = true;
-          return Status::OK();
-        }
+      {
         auto analyze_start = profiler_ != nullptr
                                  ? QueryProfiler::Clock::now()
                                  : QueryProfiler::Clock::time_point();
@@ -385,7 +332,7 @@ class StreamingCursor : public ResultCursor {
             engine_->AnalyzeTree(CanonicalTree(*path), prepared_->matches(),
                                  prepared_->keyword_of(), options_));
         if (profiler_ != nullptr) {
-          inline_analyze_ns_ += ElapsedNs(analyze_start);
+          analyze_ns_ += ElapsedNs(analyze_start);
           profiler_->AddAnalyzed(1);
         }
       }
@@ -442,20 +389,17 @@ class StreamingCursor : public ResultCursor {
   const PreparedQuery* prepared_;
   const KeywordSearchEngine* engine_;
   const SearchOptions options_;
-  /// Exactly one of these is set: the single-threaded stream
-  /// (shards <= 1, the pre-sharding path bit-for-bit) or the
-  /// scatter-gather merger over per-shard streams.
+  /// Set in the constructor; optional only because ConnectionStream has
+  /// no default constructor and is built by a factory.
   std::optional<ConnectionStream> stream_;
-  std::unique_ptr<ShardedStreamSource> sharded_;
   std::unique_ptr<Ranker> ranker_;
   const bool monotone_;
-  /// Null unless SearchOptions::profile; shard analyze tasks write only
-  /// its atomic accumulators (AddAnalyzeTask).
+  /// Null unless SearchOptions::profile.
   std::unique_ptr<QueryProfiler> profiler_;
-  /// Inline (consumer-thread) analysis time inside the current PullLoop
-  /// call; Pull subtracts it from the loop's elapsed time so the stream
-  /// and analyze stages stay disjoint.
-  uint64_t inline_analyze_ns_ = 0;
+  /// Analysis time inside the current PullLoop call; Pull subtracts it
+  /// from the loop's elapsed time so the stream and analyze stages stay
+  /// disjoint.
+  uint64_t analyze_ns_ = 0;
 
   /// Arrival-order candidate buffer (the reorder window) plus the
   /// parallel sort keys and group keys the settle predicate reads.

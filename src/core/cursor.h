@@ -43,13 +43,8 @@ struct CursorStats {
   size_t returned = 0;
   /// Work metric so far: ConnectionStream expansions for streaming
   /// cursors, the method's work count (e.g. BANKS visited nodes) for
-  /// materialized ones. Accumulates as pages are pulled. Under
-  /// intra-query sharding this is the stable shard-index-order sum of
-  /// `shard_expansions`.
+  /// materialized ones. Accumulates as pages are pulled.
   size_t expansions = 0;
-  /// Per-shard expansion counters (streaming cursor with
-  /// SearchOptions::shards > 1; empty otherwise). Index = shard id.
-  std::vector<size_t> shard_expansions;
   /// True when every hit of the result space has been handed out.
   bool drained = false;
   /// Stage times and work counters accumulated so far, set when the

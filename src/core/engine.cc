@@ -11,7 +11,6 @@
 #include "common/macros.h"
 #include "common/string_util.h"
 #include "core/cursor.h"
-#include "core/shard.h"
 #include "observability/metrics.h"
 #include "observability/trace.h"
 
@@ -74,15 +73,6 @@ std::string SearchResult::ToString(const Database& /*db*/,
     out += StrFormat("  ... (%zu more)\n", hits.size() - shown);
   }
   return out;
-}
-
-KeywordSearchEngine::~KeywordSearchEngine() = default;
-
-ShardContext& KeywordSearchEngine::shard_context() const {
-  std::call_once(shard_context_once_, [this] {
-    shard_context_ = std::make_unique<ShardContext>();
-  });
-  return *shard_context_;
 }
 
 Result<std::unique_ptr<KeywordSearchEngine>> KeywordSearchEngine::Create(
@@ -232,39 +222,6 @@ NodePath TreePathBetween(const DataGraph& graph, const TupleTree& tree,
 // truncation to k must happen only after the engine re-ranks. The margin
 // absorbs rank disagreements near the cut.
 constexpr size_t kBanksOverfetchMargin = 16;
-
-// Sharded kEnumerate candidate generation: sources are mutually
-// independent in EnumerateSimplePathsBetweenSets (per-source DFS, then
-// one stable length sort), so per-shard tasks enumerate disjoint source
-// subsets and concatenating the per-source outputs in original source
-// order before the same sort reproduces the serial output exactly.
-std::vector<NodePath> EnumerateBetweenSetsSharded(
-    const DataGraph& graph, const std::vector<uint32_t>& sources,
-    const std::vector<uint32_t>& targets, size_t max_edges, size_t shards,
-    ThreadPool* pool) {
-  std::vector<std::vector<NodePath>> per_source(sources.size());
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(shards);
-  for (size_t s = 0; s < shards; ++s) {
-    tasks.push_back([&, s] {
-      for (size_t i = 0; i < sources.size(); ++i) {
-        if (ShardOfNode(sources[i], shards) != s) continue;
-        AppendSimplePathsFromSource(graph, sources[i], targets, max_edges,
-                                    /*max_results=*/0, &per_source[i]);
-      }
-    });
-  }
-  RunAndWait(pool, std::move(tasks));
-  std::vector<NodePath> out;
-  for (std::vector<NodePath>& paths : per_source) {
-    for (NodePath& path : paths) out.push_back(std::move(path));
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const NodePath& a, const NodePath& b) {
-                     return a.length() < b.length();
-                   });
-  return out;
-}
 
 // The match of `tuple` among `km.matches` (sorted by TupleId, as
 // MatchKeywords builds them), or nullptr.
@@ -482,9 +439,6 @@ Result<std::vector<SearchHit>> KeywordSearchEngine::MaterializeHits(
 
   const SearchOptions& options = prepared.options();
   const std::vector<KeywordMatches>& matches = prepared.matches();
-  // shards == 1 is the single-threaded path, bit-for-bit the pre-sharding
-  // engine: no pool is started, no task is scheduled.
-  const size_t shards = EffectiveShards(options.shards);
   std::vector<TupleTree> trees;
   bool single_nodes = false;
   // Candidate generation is the materialized methods' stream stage: the
@@ -527,14 +481,8 @@ Result<std::vector<SearchHit>> KeywordSearchEngine::MaterializeHits(
       std::set<TupleTree> seen;
       auto collect = [&](const std::vector<uint32_t>& from,
                          const std::vector<uint32_t>& to) {
-        std::vector<NodePath> paths =
-            shards > 1
-                ? EnumerateBetweenSetsSharded(*data_graph_, from, to,
-                                              options.max_rdb_edges, shards,
-                                              &shard_context().pool())
-                : EnumerateSimplePathsBetweenSets(*data_graph_, from, to,
-                                                  options.max_rdb_edges);
-        for (const NodePath& path : paths) {
+        for (const NodePath& path : EnumerateSimplePathsBetweenSets(
+                 *data_graph_, from, to, options.max_rdb_edges)) {
           TupleTree tree = CanonicalTree(path);
           if (seen.insert(tree).second) trees.push_back(std::move(tree));
         }
@@ -602,8 +550,7 @@ Result<std::vector<SearchHit>> KeywordSearchEngine::MaterializeHits(
     // rank sort keeps later ties (trees are in TupleId order) behind
     // earlier ones. Once top_k analyzed hits sit at that floor, no
     // unanalyzed tree can enter the top-k. Single-node hits are distinct
-    // endpoint groups, so per_endpoint_limit drops none of them. The loop
-    // stays serial under sharding: it analyzes about top_k trees.
+    // endpoint groups, so per_endpoint_limit drops none of them.
     std::unique_ptr<Ranker> ranker = MakeRanker(options.ranker);
     const std::vector<double> floor = MinSortKeyAtLength(options.ranker, 0);
     size_t at_floor = 0;
@@ -614,15 +561,6 @@ Result<std::vector<SearchHit>> KeywordSearchEngine::MaterializeHits(
       if (!(floor < ranker->SortKey(hit.ToRankInput()))) ++at_floor;
       hits.push_back(std::move(hit));
     }
-  } else if (shards > 1 && trees.size() > 1) {
-    // Analysis dominates the materialized methods and AnalyzeTree is
-    // const + data-race-free on a warmed engine: fan it out. Results are
-    // collected in input order, so hits are byte-identical to the serial
-    // loop below.
-    CLAKS_ASSIGN_OR_RETURN(
-        hits, AnalyzeTreesParallel(*this, trees, matches,
-                                   prepared.keyword_of(), options,
-                                   &shard_context().pool()));
   } else {
     for (const TupleTree& tree : trees) {
       CLAKS_ASSIGN_OR_RETURN(
@@ -673,7 +611,6 @@ Result<SearchResult> KeywordSearchEngine::Search(
   }
   CursorStats stats = cursor->Stats();
   result.expansions = stats.expansions;
-  result.shard_expansions = std::move(stats.shard_expansions);
   result.profile = std::move(stats.profile);
   // The drain is complete: no cursor call follows, so the prepared
   // metadata can be moved out rather than copied (the cursor only reads

@@ -16,7 +16,6 @@
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -34,7 +33,6 @@
 
 namespace claks {
 
-class ShardContext;
 struct LoadedEngine;  // storage/snapshot.h
 
 /// One result: a connection (path) or a tuple tree, with its analysis.
@@ -82,17 +80,7 @@ struct SearchResult {
   /// (kEnumerate/kMtjnt/kDiscover visit the whole bounded space by
   /// definition). The scale benchmarks compare kStream's value against a
   /// full drain to measure how much work early termination saved.
-  ///
-  /// Under intra-query sharding (SearchOptions::shards > 1, streaming
-  /// path) this is the sum of the per-shard stream counters in
-  /// shard-index order — a stable, deterministic aggregation, so
-  /// expansion-count regression tests stay exact under sharding.
   size_t expansions = 0;
-
-  /// Per-shard expansion counters behind `expansions` (empty when the
-  /// query ran unsharded or through a materialized method). Work-skew
-  /// diagnostics for the benches' --shards sweeps.
-  std::vector<size_t> shard_expansions;
 
   /// Per-stage wall times and work counters, set when
   /// SearchOptions::profile was on (observability/profile.h). Hits and
@@ -167,10 +155,6 @@ class KeywordSearchEngine {
   /// returned LoadedEngine (storage/snapshot.h) owns the database the
   /// engine reads. Defined in storage/snapshot.cc.
   static Result<LoadedEngine> LoadSnapshot(const std::string& path);
-
-  /// Out-of-line: ShardContext is forward-declared here (core/shard.h
-  /// depends on this header, not the other way around).
-  ~KeywordSearchEngine();
 
   /// Eagerly materializes every lazily-built structure the engine or its
   /// database serves queries from — today the per-FK join indexes and the
@@ -259,17 +243,6 @@ class KeywordSearchEngine {
   /// DeltaPolicy::kAuto compaction trigger.
   size_t overlay_ops() const { return overlay_ops_; }
 
-  /// The engine-owned intra-query execution context (core/shard.h):
-  /// a dedicated thread pool per-shard scatter tasks run on. Created
-  /// lazily on the first sharded query — unsharded workloads never
-  /// start extra threads — and shared by every sharded query on this
-  /// engine thereafter. Never the service's admission pool: a query
-  /// task fanning out on its own bounded pool could deadlock; shard
-  /// tasks are pure compute and never block, so this pool cannot.
-  ///
-  /// Thread-safety: callable from any thread (call_once creation).
-  ShardContext& shard_context() const;
-
  private:
   KeywordSearchEngine() = default;
 
@@ -284,12 +257,6 @@ class KeywordSearchEngine {
                          const SearchOptions& options) const;
 
   const Database* db_ = nullptr;
-  /// Lazy (see shard_context()); mutable because sharded execution is a
-  /// detail of const Search/MaterializeHits calls.
-  mutable std::once_flag shard_context_once_;
-  // claks-lint: allow(mutable-member) -- written exactly once under
-  // shard_context_once_ (call_once publication), read-only afterwards.
-  mutable std::unique_ptr<ShardContext> shard_context_;
   std::unique_ptr<ERSchema> er_schema_;
   std::unique_ptr<ErRelationalMapping> mapping_;
   std::unique_ptr<DataGraph> data_graph_;

@@ -45,8 +45,6 @@ const char* QuerySpecErrorToString(QuerySpecError error) {
       return "zero-tmax";
     case QuerySpecError::kStreamWithoutTopK:
       return "stream-without-top-k";
-    case QuerySpecError::kZeroShards:
-      return "zero-shards";
   }
   return "?";
 }
@@ -81,9 +79,6 @@ std::vector<QuerySpecError> QuerySpec::Validate(
   }
   if (options.method == SearchMethod::kStream && options.top_k == 0) {
     errors.push_back(QuerySpecError::kStreamWithoutTopK);
-  }
-  if (options.shards == 0) {
-    errors.push_back(QuerySpecError::kZeroShards);
   }
   return errors;
 }

@@ -85,13 +85,6 @@ struct SearchOptions {
   /// connection's association can be "implicitly visible" in shorter ones
   /// between the same tuples (§3); this collapses such groups.
   size_t per_endpoint_limit = 0;
-  /// Intra-query shards: with N > 1 one query fans out over N seed
-  /// partitions of the data graph on the engine's intra-query pool and a
-  /// scatter-gather merger recombines the per-shard streams
-  /// (core/shard.h). Results are byte-identical to shards == 1 for every
-  /// method and ranker (the differential suite proves it); 1 is the
-  /// single-threaded path, bit-for-bit the pre-sharding engine.
-  size_t shards = 1;
   /// Collect a per-stage QueryProfile (observability/profile.h) while the
   /// query runs and attach it to CursorStats::profile /
   /// SearchResult::profile. Off by default: profiling costs a few clock
@@ -125,9 +118,6 @@ enum class QuerySpecError {
   /// for settled-k early termination, and unbounded paging over it cannot
   /// settle. State kEnumerate for exhaustive paging, or pass a top_k.
   kStreamWithoutTopK,
-  /// shards == 0: a query cannot fan out over zero partitions. Pass 1 for
-  /// the single-threaded path.
-  kZeroShards,
 };
 
 const char* QuerySpecErrorToString(QuerySpecError error);

@@ -31,42 +31,16 @@ ConnectionStream ConnectionStream::Bidirectional(
   return stream;
 }
 
-ConnectionStream ConnectionStream::BidirectionalRanked(
-    const DataGraph* graph, RankedLane lane_a, RankedLane lane_b,
-    size_t max_edges) {
-  ConnectionStream stream(graph, max_edges);
-  stream.AddLaneRanked(lane_a.seeds, lane_a.targets);
-  stream.AddLaneRanked(lane_b.seeds, lane_b.targets);
-  stream.dedup_ = true;
-  return stream;
-}
-
 void ConnectionStream::AddLane(const std::vector<uint32_t>& sources,
                                const std::vector<uint32_t>& targets) {
-  // Deduplicate sources, preserve order; ranks continue across lanes so
-  // every seed's rank equals its seeding position — the same numbering
-  // AddLaneRanked callers reproduce per shard.
-  std::vector<RankedSeed> seeds;
-  std::set<uint32_t> seen;
-  for (uint32_t source : sources) {
-    if (seen.insert(source).second) {
-      seeds.push_back(RankedSeed{source, next_seed_rank_++});
-    }
-  }
-  AddLaneRanked(seeds, targets);
-}
-
-void ConnectionStream::AddLaneRanked(const std::vector<RankedSeed>& seeds,
-                                     const std::vector<uint32_t>& targets) {
   uint32_t lane = static_cast<uint32_t>(lane_targets_.size());
   lane_targets_.emplace_back(targets.begin(), targets.end());
-  for (const RankedSeed& seed : seeds) {
-    queue_.push(Frontier{NodePath{seed.node, {}},
-                         {seed.node},
-                         0,
-                         lane,
-                         next_sequence_++,
-                         seed.rank});
+  // Deduplicate sources, preserve order.
+  std::set<uint32_t> seen;
+  for (uint32_t source : sources) {
+    if (!seen.insert(source).second) continue;
+    queue_.push(Frontier{NodePath{source, {}}, {source}, 0, lane,
+                         next_sequence_++});
   }
 }
 
@@ -94,12 +68,6 @@ std::optional<Connection> ConnectionStream::Next(size_t stop_length) {
 }
 
 std::optional<NodePath> ConnectionStream::NextPath(size_t stop_length) {
-  std::optional<KeyedPath> keyed = NextKeyedPath(stop_length);
-  if (!keyed.has_value()) return std::nullopt;
-  return std::move(keyed->path);
-}
-
-std::optional<KeyedPath> ConnectionStream::NextKeyedPath(size_t stop_length) {
   while (!queue_.empty()) {
     if (queue_.top().length >= stop_length) return std::nullopt;
     // priority_queue::top is const; moving out before pop is safe because
@@ -110,8 +78,6 @@ std::optional<KeyedPath> ConnectionStream::NextKeyedPath(size_t stop_length) {
     Frontier frontier = std::move(const_cast<Frontier&>(queue_.top()));
     queue_.pop();
     ++expansions_;
-    popped_any_ = true;
-    max_popped_length_ = frontier.length;  // pops are length-nondecreasing
     uint32_t end = frontier.path.End();
 
     bool is_answer = lane_targets_[frontier.lane].count(end) > 0;
@@ -121,8 +87,7 @@ std::optional<KeyedPath> ConnectionStream::NextKeyedPath(size_t stop_length) {
       // past a target). With two lanes the same undirected path can arrive
       // from both sides: only the first arrival is emitted.
       if (!dedup_ || MarkEmitted(frontier)) {
-        return KeyedPath{std::move(frontier.path), frontier.length,
-                         frontier.seed_rank};
+        return std::move(frontier.path);
       }
       continue;
     }
@@ -142,7 +107,6 @@ std::optional<KeyedPath> ConnectionStream::NextKeyedPath(size_t stop_length) {
       extended.length = extended.path.length();
       extended.lane = frontier.lane;
       extended.sequence = next_sequence_++;
-      extended.seed_rank = frontier.seed_rank;
       queue_.push(std::move(extended));
     }
   }

@@ -38,33 +38,6 @@
 
 namespace claks {
 
-/// One seed of a stream lane, carrying an explicit rank. The rank is the
-/// cross-shard merge coordinate of intra-query sharding (core/shard.h):
-/// within one RDB length level a stream's emissions are seed-major (see
-/// the emission-order note on NextKeyedPath), so per-shard streams seeded
-/// with their *global* ranks emit exactly the global order restricted to
-/// their seeds, and a merger can interleave shards on (length, seed_rank)
-/// alone.
-struct RankedSeed {
-  uint32_t node = 0;
-  uint64_t rank = 0;
-};
-
-/// One lane of a ranked multi-lane stream: pre-deduplicated seeds with
-/// global ranks, plus the lane's target set.
-struct RankedLane {
-  std::vector<RankedSeed> seeds;
-  std::vector<uint32_t> targets;
-};
-
-/// An emission with its merge coordinates: the path, its edge count, and
-/// the global rank of the seed whose expansion discovered it.
-struct KeyedPath {
-  NodePath path;
-  size_t length = 0;
-  uint64_t seed_rank = 0;
-};
-
 /// Streams simple paths from `sources` to `targets` in nondecreasing
 /// edge-count order. Paths stop at the first target tuple (connection
 /// endpoints carry the keywords). Deterministic: ties break by discovery
@@ -87,17 +60,6 @@ class ConnectionStream {
                                         const std::vector<uint32_t>& side_b,
                                         size_t max_edges);
 
-  /// The shard-slice form of Bidirectional: the same two-lane dedup
-  /// semantics, but seeded with explicit pre-ranked (already deduplicated)
-  /// seed subsets. core/shard.h builds one per shard, assigning each seed
-  /// the rank it holds in the full unsharded stream, so the per-shard
-  /// emission sequences merge back into the unsharded order on
-  /// (length, seed_rank).
-  static ConnectionStream BidirectionalRanked(const DataGraph* graph,
-                                              RankedLane lane_a,
-                                              RankedLane lane_b,
-                                              size_t max_edges);
-
   /// Returns the next connection, or nullopt when the stream is exhausted
   /// or every pending partial path already has `stop_length` or more
   /// edges. Stopping leaves the queue intact: a later call with a larger
@@ -109,28 +71,9 @@ class ConnectionStream {
   /// canonical TupleTree without re-resolving FK edges.
   std::optional<NodePath> NextPath(size_t stop_length = kNoStopLength);
 
-  /// Like NextPath but also reports the merge coordinates. Emission-order
-  /// contract (what cross-shard merging rests on): the queue pops by
-  /// (length, insertion sequence), and children inherit push order from
-  /// their parent's pop order, so within one length level emissions come
-  /// in lexicographic derivation order (seed rank first) — in particular
-  /// seed-major. tests/shard_test.cc asserts the merged order equals the
-  /// unsharded order emission by emission.
-  std::optional<KeyedPath> NextKeyedPath(size_t stop_length = kNoStopLength);
-
   /// Number of edges of the shortest pending partial path — a lower bound
   /// on the RDB length of every future connection. nullopt once exhausted.
   std::optional<size_t> PendingLength() const;
-
-  /// Largest frontier length popped so far; nullopt before the first pop.
-  /// Pops come in nondecreasing length order, so the max is a complete
-  /// record of which lengths have been popped. core/shard.h uses it to
-  /// reconstruct the unsharded stream's knowledge horizon after a
-  /// prefetch drained a shard deeper than the caller's final stop bound.
-  std::optional<size_t> MaxPoppedLength() const {
-    return popped_any_ ? std::optional<size_t>(max_popped_length_)
-                       : std::nullopt;
-  }
 
   /// Number of partial paths expanded so far (work metric for tests and
   /// benchmarks).
@@ -146,9 +89,6 @@ class ConnectionStream {
     size_t length;
     uint32_t lane;
     uint64_t sequence;
-    /// Global rank of the seed this partial path grew from (inherited
-    /// unchanged by every extension) — the cross-shard merge coordinate.
-    uint64_t seed_rank;
     bool operator>(const Frontier& other) const {
       if (length != other.length) return length > other.length;
       return sequence > other.sequence;
@@ -159,13 +99,6 @@ class ConnectionStream {
 
   void AddLane(const std::vector<uint32_t>& sources,
                const std::vector<uint32_t>& targets);
-
-  /// AddLane with caller-assigned seed ranks (already deduplicated); the
-  /// sharded factory's building block. Plain AddLane assigns ranks
-  /// 0,1,2,... across lanes in seeding order, so both paths agree on what
-  /// rank a seed holds.
-  void AddLaneRanked(const std::vector<RankedSeed>& seeds,
-                     const std::vector<uint32_t>& targets);
 
   /// Records the canonical (sorted node set, sorted edge set) form of an
   /// answer; false when it was already emitted by the other lane.
@@ -178,10 +111,7 @@ class ConnectionStream {
   size_t max_edges_;
   bool dedup_ = false;
   uint64_t next_sequence_ = 0;
-  uint64_t next_seed_rank_ = 0;
   size_t expansions_ = 0;
-  bool popped_any_ = false;
-  size_t max_popped_length_ = 0;
   std::set<std::pair<std::vector<uint32_t>, std::vector<uint32_t>>> emitted_;
   std::priority_queue<Frontier, std::vector<Frontier>, std::greater<>>
       queue_;

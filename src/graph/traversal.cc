@@ -119,16 +119,10 @@ struct PathEnumerator {
   }
 };
 
-}  // namespace
-
-std::vector<NodePath> EnumerateSimplePaths(const DataGraph& graph,
-                                           uint32_t from, uint32_t to,
-                                           size_t max_edges,
-                                           size_t max_results) {
-  return EnumerateSimplePathsBetweenSets(graph, {from}, {to}, max_edges,
-                                         max_results);
-}
-
+// The per-source body of EnumerateSimplePathsBetweenSets: appends every
+// simple path from `source` to a node of `targets` (DFS discovery order,
+// no sort) to `out`, stopping once `out` holds `max_results` paths
+// (0 = unlimited).
 void AppendSimplePathsFromSource(const DataGraph& graph, uint32_t source,
                                  const std::vector<uint32_t>& targets,
                                  size_t max_edges, size_t max_results,
@@ -146,6 +140,16 @@ void AppendSimplePathsFromSource(const DataGraph& graph, uint32_t source,
                             source};
   enumerator.on_path[source] = true;
   enumerator.Recurse(source);
+}
+
+}  // namespace
+
+std::vector<NodePath> EnumerateSimplePaths(const DataGraph& graph,
+                                           uint32_t from, uint32_t to,
+                                           size_t max_edges,
+                                           size_t max_results) {
+  return EnumerateSimplePathsBetweenSets(graph, {from}, {to}, max_edges,
+                                         max_results);
 }
 
 std::vector<NodePath> EnumerateSimplePathsBetweenSets(

@@ -63,18 +63,6 @@ std::vector<NodePath> EnumerateSimplePathsBetweenSets(
     const std::vector<uint32_t>& targets, size_t max_edges,
     size_t max_results = 0);
 
-/// The per-source body of EnumerateSimplePathsBetweenSets: appends every
-/// simple path from `source` to a node of `targets` (DFS discovery
-/// order, no sort) to `out`, stopping once `out` holds `max_results`
-/// paths (0 = unlimited). Sources are independent of each other, which
-/// is what lets the sharded engine enumerate them in parallel and
-/// reassemble the exact serial output by concatenating per-source
-/// results in source order before the final length sort.
-void AppendSimplePathsFromSource(const DataGraph& graph, uint32_t source,
-                                 const std::vector<uint32_t>& targets,
-                                 size_t max_edges, size_t max_results,
-                                 std::vector<NodePath>* out);
-
 }  // namespace claks
 
 #endif  // CLAKS_GRAPH_TRAVERSAL_H_

@@ -10,19 +10,6 @@
 
 namespace claks {
 
-SkewSummary ComputeSkew(const std::vector<size_t>& counts) {
-  SkewSummary skew;
-  if (counts.empty()) return skew;
-  size_t total = 0;
-  for (size_t count : counts) {
-    skew.max = std::max(skew.max, count);
-    total += count;
-  }
-  skew.mean = static_cast<double>(total) / counts.size();
-  skew.ratio = skew.mean > 0.0 ? skew.max / skew.mean : 1.0;
-  return skew;
-}
-
 namespace internal {
 
 std::atomic<bool> g_metrics_recording{true};

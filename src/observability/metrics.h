@@ -6,7 +6,7 @@
 // time Snapshot() the service layer re-derives ServiceStats from.
 //
 // Hot-path cost model: Counter::Inc is one relaxed fetch_add on a
-// per-thread-sharded, cache-line-padded slot (no false sharing between
+// per-thread, cache-line-padded slot (no false sharing between
 // worker threads); Histogram::Observe is two relaxed adds plus a relaxed
 // max loop. Neither takes a lock. The registry's mutex guards only
 // registration and read-side rendering. SetRecording(false) turns every
@@ -38,18 +38,6 @@
 
 namespace claks {
 
-/// Work-balance summary over per-shard counters: the max/mean skew the
-/// --shards bench sweeps report and ShardedStreamSource::WorkSkew
-/// computes. ratio == 1.0 means perfectly balanced (and is also the
-/// defined value for empty or all-zero inputs).
-struct SkewSummary {
-  size_t max = 0;
-  double mean = 0.0;
-  double ratio = 1.0;
-};
-
-SkewSummary ComputeSkew(const std::vector<size_t>& counts);
-
 namespace internal {
 
 /// Global recording switch + round-robin thread slot assignment. The
@@ -70,7 +58,7 @@ inline size_t ThisThreadSlot() {
 
 }  // namespace internal
 
-/// Monotonic counter, sharded across cache-line-padded atomic slots
+/// Monotonic counter, spread across cache-line-padded atomic slots
 /// indexed by a per-thread round-robin id: concurrent Inc calls from the
 /// pool's workers land on distinct lines. Value() sums the slots (exact:
 /// every Inc is a relaxed add to exactly one slot).
@@ -338,8 +326,8 @@ class MetricsRegistry {
 /// Namespace-scope registration of process-wide metrics (the shape the
 /// metric-naming lint rule expects): expands to a reference binding
 /// against the Default() registry, e.g.
-///   CLAKS_METRIC_COUNTER(g_fills, "claks_shard_fill_tasks_total",
-///                        "Shard fill tasks scheduled");
+///   CLAKS_METRIC_COUNTER(g_storage_saves, "claks_storage_saves_total",
+///                        "Engine snapshots serialized to disk");
 #define CLAKS_METRIC_COUNTER(var, name, help)      \
   ::claks::Counter& var =                          \
       ::claks::MetricsRegistry::Default().GetCounter(name, help)

@@ -15,20 +15,13 @@ double Ms(uint64_t ns) { return static_cast<double>(ns) / 1e6; }
 std::string QueryProfile::Summary() const {
   // key=value pairs, no spaces inside a pair: one grep/cut-friendly
   // token per field (the slow-query log line format).
-  std::string out = StrFormat(
+  return StrFormat(
       "total_ms=%.3f validate_ms=%.3f match_ms=%.3f plan_ms=%.3f "
       "stream_ms=%.3f analyze_ms=%.3f rank_ms=%.3f fetch_ms=%.3f "
-      "analyze_tasks=%llu analyze_tasks_ms=%.3f expansions=%zu "
-      "analyzed=%zu hits=%zu",
+      "expansions=%zu analyzed=%zu hits=%zu",
       Ms(total_ns), Ms(validate_ns), Ms(match_ns), Ms(plan_ns),
-      Ms(stream_ns), Ms(analyze_ns), Ms(rank_ns), Ms(fetch_ns),
-      static_cast<unsigned long long>(analyze_tasks), Ms(analyze_tasks_ns),
-      expansions, analyzed, hits);
-  if (!shard_expansions.empty()) {
-    out += StrFormat(" shards=%zu shard_skew=%.2f", shard_expansions.size(),
-                     shard_skew.ratio);
-  }
-  return out;
+      Ms(stream_ns), Ms(analyze_ns), Ms(rank_ns), Ms(fetch_ns), expansions,
+      analyzed, hits);
 }
 
 std::string QueryProfile::ToString() const {
@@ -49,20 +42,8 @@ std::string QueryProfile::ToString() const {
   out += line("fetch", fetch_ns);
   out += StrFormat("  %-9s %10.3f ms  (wall %0.3f ms)\n", "stages",
                    Ms(sum), Ms(total_ns));
-  if (analyze_tasks > 0) {
-    out += StrFormat(
-        "  analyze tasks: %llu calls, %.3f ms on shard threads "
-        "(overlaps stream)\n",
-        static_cast<unsigned long long>(analyze_tasks), Ms(analyze_tasks_ns));
-  }
   out += StrFormat("  expansions: %zu   analyzed: %zu   hits: %zu\n",
                    expansions, analyzed, hits);
-  if (!shard_expansions.empty()) {
-    out += StrFormat(
-        "  shards: %zu   skew: max=%zu mean=%.1f ratio=%.2f\n",
-        shard_expansions.size(), shard_skew.max, shard_skew.mean,
-        shard_skew.ratio);
-  }
   return out;
 }
 

@@ -5,42 +5,33 @@
 // QueryProfiler is the accumulator the engine and cursors feed while the
 // query runs.
 //
-// Stage model. The consumer-thread stages are non-overlapping scopes of
-// the query lifecycle —
+// Stage model. The stages are non-overlapping scopes of the query
+// lifecycle —
 //   validate  option validation (QuerySpec::Create)
 //   match     tokenize + keyword match + AND/OR resolution (Prepare)
-//   plan      cursor open / seed partition (streaming) — the work
-//             between Prepare and the first possible pull
-//   stream    candidate generation: pulling the connection stream (or
-//             waiting on the sharded scatter-gather merge) + settle
-//             bookkeeping, and the materialized methods' enumeration
-//   analyze   per-candidate analysis on the consumer thread (inline,
-//             unsharded paths)
+//   plan      cursor open (streaming) — the work between Prepare and
+//             the first possible pull
+//   stream    candidate generation: pulling the connection stream +
+//             settle bookkeeping, and the materialized methods'
+//             enumeration
+//   analyze   per-candidate analysis
 //   rank      survivor ordering / rank-group-truncate
 //   fetch     page assembly and hit copy-out
 // — so StageSum() approximates total_ns, the wall time actually spent
 // inside API calls (Prepare + Open + every Next). That is the contract
 // the acceptance check exercises: stages sum to within 10% of measured
-// wall time. Cross-thread work (shard-task analysis) is reported
-// separately in analyze_tasks_ns/analyze_tasks and excluded from the
-// sum: it overlaps the consumer's `stream` wait.
+// wall time.
 //
 // Thread model: one QueryProfiler belongs to one cursor (single
-// consumer). Consumer-stage accumulators are plain integers; the
-// analyze-task accumulators are atomic because shard fill tasks add to
-// them concurrently.
+// consumer), so its accumulators are plain integers.
 
 #ifndef CLAKS_OBSERVABILITY_PROFILE_H_
 #define CLAKS_OBSERVABILITY_PROFILE_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
-
-#include "observability/metrics.h"
 
 namespace claks {
 
@@ -57,23 +48,15 @@ struct QueryProfile {
   /// the denominator of the stage-sum contract.
   uint64_t total_ns = 0;
 
-  /// Cross-thread analysis on shard-pool tasks: summed task time and
-  /// call count. Overlaps the consumer's `stream` wait; excluded from
-  /// StageSum().
-  uint64_t analyze_tasks_ns = 0;
-  uint64_t analyze_tasks = 0;
-
-  /// Candidate trees passed to AnalyzeTree, inline and on shard tasks.
-  /// Far below the result space when the query settled early.
+  /// Candidate trees passed to AnalyzeTree. Far below the result space
+  /// when the query settled early.
   size_t analyzed = 0;
 
   /// Work counters at snapshot time.
   size_t expansions = 0;
   size_t hits = 0;
-  std::vector<size_t> shard_expansions;  ///< empty when unsharded
-  SkewSummary shard_skew;                ///< over shard_expansions
 
-  /// Sum of the non-overlapping consumer-thread stages; ~= total_ns.
+  /// Sum of the non-overlapping stages; ~= total_ns.
   uint64_t StageSum() const {
     return validate_ns + match_ns + plan_ns + stream_ns + analyze_ns +
            rank_ns + fetch_ns;
@@ -108,7 +91,7 @@ class QueryProfiler {
   QueryProfiler(const QueryProfiler&) = delete;
   QueryProfiler& operator=(const QueryProfiler&) = delete;
 
-  /// Adds `ns` to a stage. Consumer thread only (not synchronized).
+  /// Adds `ns` to a stage.
   void Add(Stage stage, uint64_t ns) {
     switch (stage) {
       case Stage::kValidate:
@@ -138,17 +121,8 @@ class QueryProfiler {
     }
   }
 
-  /// Counts `n` analysis calls that no AddAnalyzeTask records (inline
-  /// calls, and the materialized methods' parallel analysis, which the
-  /// consumer counts after the join). Consumer thread only.
+  /// Counts `n` AnalyzeTree calls.
   void AddAnalyzed(size_t n) { analyzed_ += n; }
-
-  /// Records one analysis call executed on a shard-pool task. Safe from
-  /// any thread.
-  void AddAnalyzeTask(uint64_t ns) {
-    analyze_tasks_ns_.fetch_add(ns, std::memory_order_relaxed);
-    analyze_tasks_.fetch_add(1, std::memory_order_relaxed);
-  }
 
   /// RAII stage timer; a null profiler makes it free.
   class ScopedTimer {
@@ -176,10 +150,9 @@ class QueryProfiler {
     Clock::time_point start_;
   };
 
-  /// Point-in-time profile. `expansions`/`hits`/`shard_expansions` are
-  /// passed by the cursor (it owns those counters).
-  QueryProfile Snapshot(size_t expansions, size_t hits,
-                        std::vector<size_t> shard_expansions) const {
+  /// Point-in-time profile. `expansions`/`hits` are passed by the cursor
+  /// (it owns those counters).
+  QueryProfile Snapshot(size_t expansions, size_t hits) const {
     QueryProfile profile;
     profile.validate_ns = validate_ns_;
     profile.match_ns = match_ns_;
@@ -189,16 +162,9 @@ class QueryProfiler {
     profile.rank_ns = rank_ns_;
     profile.fetch_ns = fetch_ns_;
     profile.total_ns = total_ns_;
-    profile.analyze_tasks_ns =
-        analyze_tasks_ns_.load(std::memory_order_relaxed);
-    profile.analyze_tasks =
-        analyze_tasks_.load(std::memory_order_relaxed);
-    profile.analyzed =
-        analyzed_ + static_cast<size_t>(profile.analyze_tasks);
+    profile.analyzed = analyzed_;
     profile.expansions = expansions;
     profile.hits = hits;
-    profile.shard_skew = ComputeSkew(shard_expansions);
-    profile.shard_expansions = std::move(shard_expansions);
     return profile;
   }
 
@@ -212,8 +178,6 @@ class QueryProfiler {
   uint64_t fetch_ns_ = 0;
   uint64_t total_ns_ = 0;
   size_t analyzed_ = 0;
-  std::atomic<uint64_t> analyze_tasks_ns_{0};
-  std::atomic<uint64_t> analyze_tasks_{0};
 };
 
 }  // namespace claks

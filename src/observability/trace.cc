@@ -111,13 +111,11 @@ std::string TraceRecorder::ToChromeJson() const {
   return out;
 }
 
-TraceSpan::TraceSpan(const char* name, TraceRecorder* recorder,
-                     bool use_current, uint64_t parent)
-    : recorder_(recorder) {
+TraceSpan::TraceSpan(const char* name) : recorder_(TraceRecorder::Active()) {
   if (recorder_ == nullptr) return;
   name_ = name;
   span_id_ = recorder_->NewSpanId();
-  parent_id_ = use_current ? t_current_span : parent;
+  parent_id_ = t_current_span;
   prev_current_ = t_current_span;
   t_current_span = span_id_;
   start_ns_ = recorder_->NowNs();
@@ -137,13 +135,6 @@ TraceSpan::~TraceSpan() {
   event.arg_value = arg_value_;
   recorder_->Record(event);
   t_current_span = prev_current_;
-}
-
-TraceContext TraceSpan::Capture() {
-  TraceContext context;
-  context.recorder = TraceRecorder::Active();
-  context.parent_id = t_current_span;
-  return context;
 }
 
 }  // namespace claks

@@ -1,7 +1,6 @@
 // Copyright 2026 The claks Authors.
 //
-// Per-query trace spans: RAII TraceSpan nesting on the current thread,
-// cross-thread parent propagation into shard fill tasks (TraceContext),
+// Per-query trace spans: RAII TraceSpan nesting on the current thread
 // and a bounded ring buffer of completed spans exportable as Chrome
 // trace_event JSON (chrome://tracing, Perfetto).
 //
@@ -13,8 +12,8 @@
 // pointer, never a copy.
 //
 // Build-time kill switch: configuring with -DCLAKS_TRACING=OFF defines
-// CLAKS_TRACING_DISABLED, under which TraceSpan and TraceContext compile
-// to empty no-op types (and TraceRecorder to an always-empty recorder),
+// CLAKS_TRACING_DISABLED, under which TraceSpan compiles to an empty
+// no-op type (and TraceRecorder to an always-empty recorder),
 // so call sites stay unconditional while the instrumentation costs
 // literally nothing.
 //
@@ -51,23 +50,13 @@ struct TraceEvent {
   uint64_t span_id = 0;
   uint64_t parent_id = 0;
   uint32_t tid = 0;
-  /// Optional numeric argument (e.g. the shard index); rendered into the
+  /// Optional numeric argument (e.g. a loop index); rendered into the
   /// Chrome event's args when `arg_name` is set.
   const char* arg_name = nullptr;
   uint64_t arg_value = 0;
 };
 
 #ifndef CLAKS_TRACING_DISABLED
-
-class TraceRecorder;
-
-/// Capture of a thread's current span identity, for parenting spans on
-/// other threads (the shard pool): capture on the consumer thread, hand
-/// the context into the task, open the task's spans with it.
-struct TraceContext {
-  TraceRecorder* recorder = nullptr;
-  uint64_t parent_id = 0;
-};
 
 /// Bounded ring of completed spans for one traced run. Install() makes
 /// this the process's active recorder; completed spans append in finish
@@ -135,22 +124,11 @@ class TraceRecorder {
 
 /// RAII span: opens on construction (when a recorder is active),
 /// completes into the recorder on destruction. Nested spans on one
-/// thread parent automatically; cross-thread spans parent through an
-/// explicitly captured TraceContext. `name` (and `arg_name`) must be
-/// string literals.
+/// thread parent automatically. `name` (and `arg_name`) must be string
+/// literals.
 class TraceSpan {
  public:
-  explicit TraceSpan(const char* name)
-      : TraceSpan(name, TraceRecorder::Active(), /*use_current=*/true,
-                  /*parent=*/0) {}
-
-  /// Cross-thread span: parented under `context` (captured on another
-  /// thread) instead of this thread's current span. A null context
-  /// recorder makes the span inactive.
-  TraceSpan(const TraceContext& context, const char* name)
-      : TraceSpan(name, context.recorder, /*use_current=*/false,
-                  context.parent_id) {}
-
+  explicit TraceSpan(const char* name);
   ~TraceSpan();
 
   TraceSpan(const TraceSpan&) = delete;
@@ -162,19 +140,12 @@ class TraceSpan {
     arg_value_ = value;
   }
 
-  /// This thread's current span identity, for parenting work shipped to
-  /// other threads. Null recorder (tracing off) propagates as inactive.
-  static TraceContext Capture();
-
   /// True when a recorder is installed (spans will record).
   static bool Enabled() { return TraceRecorder::Active() != nullptr; }
 
   bool active() const { return recorder_ != nullptr; }
 
  private:
-  TraceSpan(const char* name, TraceRecorder* recorder, bool use_current,
-            uint64_t parent);
-
   TraceRecorder* recorder_;  ///< null: inactive span, destructor no-ops
   const char* name_ = nullptr;
   uint64_t span_id_ = 0;
@@ -190,13 +161,6 @@ class TraceSpan {
 /// No-op twins: same API surface, empty inline bodies, no members that
 /// cost anything — call sites compile unchanged and the optimizer erases
 /// them entirely.
-class TraceRecorder;
-
-struct TraceContext {
-  TraceRecorder* recorder = nullptr;
-  uint64_t parent_id = 0;
-};
-
 class TraceRecorder {
  public:
   explicit TraceRecorder(size_t = 0) {}
@@ -213,9 +177,7 @@ class TraceRecorder {
 class TraceSpan {
  public:
   explicit TraceSpan(const char*) {}
-  TraceSpan(const TraceContext&, const char*) {}
   void SetArg(const char*, uint64_t) {}
-  static TraceContext Capture() { return TraceContext(); }
   static bool Enabled() { return false; }
   bool active() const { return false; }
 };

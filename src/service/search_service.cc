@@ -7,7 +7,6 @@
 #include "common/logging.h"
 #include "common/macros.h"
 #include "common/string_util.h"
-#include "core/shard.h"
 #include "observability/trace.h"
 #include "relational/delta.h"
 #include "storage/snapshot.h"
@@ -212,17 +211,13 @@ std::string SearchService::CacheKey(const KeywordSearchEngine& engine,
     key += keyword;
     key += '\x1f';  // unit separator: cannot occur in a normalized token
   }
-  // Shards never change hits (the differential suite proves
-  // byte-identity), but the work counters they produce
-  // (SearchResult::expansions / shard_expansions) are part of the cached
-  // value — keying on the effective count keeps those exact.
   key += StrFormat(
-      "|m%d|r%d|e%zu|t%zu|k%zu|i%d|w%zu|a%d|g%zu|s%zu|bk%zu|bw%d|bd%zu|p%d",
+      "|m%d|r%d|e%zu|t%zu|k%zu|i%d|w%zu|a%d|g%zu|bk%zu|bw%d|bd%zu|p%d",
       static_cast<int>(options.method), static_cast<int>(options.ranker),
       options.max_rdb_edges, options.tmax, options.top_k,
       options.instance_check ? 1 : 0, options.witness_edges,
       options.require_all_keywords ? 1 : 0, options.per_endpoint_limit,
-      EffectiveShards(options.shards), options.banks.top_k,
+      options.banks.top_k,
       static_cast<int>(options.banks.weight_model),
       options.banks.max_distance, options.profile ? 1 : 0);
   return key;

@@ -3,7 +3,7 @@
 // SearchService: the concurrent query front of the engine. One service
 // owns (a) an immutable, fully-warmed KeywordSearchEngine snapshot shared
 // RCU-style behind a std::shared_ptr, (b) a fixed worker pool with a
-// bounded submission queue (service/thread_pool.h), and (c) a sharded LRU
+// bounded submission queue (common/thread_pool.h), and (c) a sharded LRU
 // result cache keyed by the canonical normalized query form
 // (service/result_cache.h). Queries are submitted from any thread and
 // resolve through per-query futures; mutations clone the database, build
@@ -36,13 +36,13 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
+#include "common/thread_pool.h"
 #include "core/cursor.h"
 #include "core/engine.h"
 #include "core/query_spec.h"
 #include "observability/metrics.h"
 #include "service/query_api.h"
 #include "service/result_cache.h"
-#include "service/thread_pool.h"
 
 namespace claks {
 
@@ -50,13 +50,6 @@ namespace claks {
 /// snapshot-build time and a warmed engine over it. Readers hold the whole
 /// snapshot via shared_ptr, so a generation stays alive exactly as long as
 /// any in-flight query (or the service) references it.
-///
-/// The snapshot also owns this generation's shard set: the engine holds
-/// the intra-query ShardContext (core/shard.h) and every per-shard
-/// stream a sharded query builds reads this generation's data graph, so
-/// a Prepare/Fetch cursor paging from a merged per-shard stream pins the
-/// whole shard set — pool, streams, graph — across Mutate swaps simply
-/// by holding its snapshot.
 struct EngineSnapshot {
   /// Monotonically increasing, starting at 1; part of every cache key, so
   /// results cached against an old generation can never serve a new one.
@@ -253,11 +246,10 @@ class SearchService {
   /// tokenizer-normalized keyword sequence (so "Smith XML", "smith xml"
   /// and " SMITH  xml. " coincide) plus every option that can change the
   /// result — method, ranker, top_k, AND/OR semantics, depth/tmax bounds,
-  /// instance-check settings, per-endpoint grouping, the effective shard
-  /// count (hits are shard-invariant, but the cached work counters are
-  /// not), the BANKS parameters and the profile flag (a profiled result
-  /// carries its QueryProfile; an unprofiled one must not) — plus the
-  /// snapshot version itself.
+  /// instance-check settings, per-endpoint grouping, the BANKS
+  /// parameters and the profile flag (a profiled result carries its
+  /// QueryProfile; an unprofiled one must not) — plus the snapshot
+  /// version itself.
   static std::string CacheKey(const KeywordSearchEngine& engine,
                               uint64_t version,
                               const std::string& query_text,

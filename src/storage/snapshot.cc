@@ -23,7 +23,6 @@
 #include "common/macros.h"
 #include "common/mutex.h"
 #include "common/thread_pool.h"
-#include "core/shard.h"
 #include "er/er_to_relational.h"
 #include "graph/schema_graph.h"
 #include "observability/metrics.h"

@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -421,7 +420,7 @@ TEST(CursorScaleTest, StreamPageOneAt100xBeatsDraining) {
 // floor, so the first top_k matches in TupleId order are the answer. The
 // top-k hits must equal the top_k == 0 drain's prefix byte for byte, and
 // the profile must show that only min(top_k, n) trees were analyzed
-// (all n for the kNone rankers) — at every shard count.
+// (all n for the kNone rankers).
 TEST(CursorScaleTest, OneKeywordTopKSettlesAfterKHits) {
   auto generated = GenerateCompanyDataset(CompanyGenOptions::AtScale(10));
   ASSERT_TRUE(generated.ok());
@@ -430,12 +429,6 @@ TEST(CursorScaleTest, OneKeywordTopKSettlesAfterKHits) {
       dataset.db.get(), dataset.er_schema, dataset.mapping);
   ASSERT_TRUE(engine_or.ok());
   auto engine = std::move(engine_or).ValueOrDie();
-
-  std::vector<size_t> shard_counts = {1, 2, 4};
-  if (const char* forced = std::getenv("CLAKS_TEST_SHARDS")) {
-    shard_counts = {static_cast<size_t>(std::strtoull(forced, nullptr, 10))};
-    ASSERT_GT(shard_counts[0], 0u);
-  }
 
   for (SearchMethod method :
        {SearchMethod::kStream, SearchMethod::kEnumerate}) {
@@ -459,28 +452,23 @@ TEST(CursorScaleTest, OneKeywordTopKSettlesAfterKHits) {
           ASSERT_EQ(expected.size(), n);
           ASSERT_EQ(drain->profile->analyzed, n);
 
-          for (size_t shards : shard_counts) {
-            for (size_t top_k : {size_t{1}, size_t{10}, n + 5}) {
-              std::string where =
-                  std::string(SearchMethodToString(method)) + "/" +
-                  RankerKindToString(ranker) +
-                  " pel=" + std::to_string(per_endpoint_limit) +
-                  " ic=" + std::to_string(instance_check) +
-                  " shards=" + std::to_string(shards) +
-                  " top_k=" + std::to_string(top_k);
-              options.shards = shards;
-              options.top_k = top_k;
-              auto top = engine->Search("smith", options);
-              ASSERT_TRUE(top.ok()) << where;
-              const size_t kept = std::min(top_k, n);
-              EXPECT_EQ(Fingerprints(top->hits),
-                        std::vector<std::string>(expected.begin(),
-                                                 expected.begin() + kept))
-                  << where;
-              ASSERT_TRUE(top->profile.has_value()) << where;
-              EXPECT_EQ(top->profile->analyzed, monotone ? kept : n)
-                  << where;
-            }
+          for (size_t top_k : {size_t{1}, size_t{10}, n + 5}) {
+            std::string where =
+                std::string(SearchMethodToString(method)) + "/" +
+                RankerKindToString(ranker) +
+                " pel=" + std::to_string(per_endpoint_limit) +
+                " ic=" + std::to_string(instance_check) +
+                " top_k=" + std::to_string(top_k);
+            options.top_k = top_k;
+            auto top = engine->Search("smith", options);
+            ASSERT_TRUE(top.ok()) << where;
+            const size_t kept = std::min(top_k, n);
+            EXPECT_EQ(Fingerprints(top->hits),
+                      std::vector<std::string>(expected.begin(),
+                                               expected.begin() + kept))
+                << where;
+            ASSERT_TRUE(top->profile.has_value()) << where;
+            EXPECT_EQ(top->profile->analyzed, monotone ? kept : n) << where;
           }
         }
       }

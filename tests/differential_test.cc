@@ -1,36 +1,32 @@
 // Copyright 2026 The claks Authors.
 //
-// Randomized differential sweep for intra-query sharding: seeded-random
-// QuerySpecs (method x ranker x top_k x AND/OR x page size) run through
-// the prepared-query + cursor API against the 1x and 10x company_gen
-// datasets, asserting that sharded execution is byte-identical to the
-// unsharded engine — same hits, same ranking keys, same cursor page
-// boundaries, same drain point. Every spec derives from one uint64 seed;
-// a failure prints that seed and the repro line
-// `CLAKS_DIFF_SEED=<seed> ./differential_test`.
+// Randomized differential sweeps: seeded-random QuerySpecs (method x
+// ranker x top_k x AND/OR x page size) run through the prepared-query +
+// cursor API, and two engines that must agree are compared byte for
+// byte — same hits, same ranking keys, same cursor page boundaries, same
+// drain point. Every spec derives from one uint64 seed; a failure prints
+// that seed and the repro line `CLAKS_DIFF_SEED=<seed> ./differential_test`.
 //
-// A second sweep hardens the incremental-mutation path: seeded-random
+// The mutation sweep hardens the incremental-mutation path: seeded-random
 // insert/delete interleavings applied through SearchService::Mutate, the
-// delta-derived snapshot after every batch compared byte-for-byte (same
-// RunOutcome fingerprints) against an engine rebuilt from scratch over a
-// clone of the same storage, at every shard count.
+// delta-derived snapshot after every batch compared (same RunOutcome
+// fingerprints) against an engine rebuilt from scratch over a clone of
+// the same storage.
 //
 // Two further sweeps close the loop over the storage subsystem: the
 // round-trip sweep runs every spec against an engine that was serialized
 // to a snapshot file and mmap-loaded back, asserting byte-identical
-// RunOutcome fingerprints against the in-memory original at every shard
-// count; the snapshot-mutation sweep cold-starts a SearchService from
-// that file and proves delta derivations on the frozen mmap'd base match
-// engines rebuilt from scratch.
+// RunOutcome fingerprints against the in-memory original over the 1x and
+// 10x company_gen datasets; the snapshot-mutation sweep cold-starts a
+// SearchService from that file and proves delta derivations on the
+// frozen mmap'd base match engines rebuilt from scratch.
 //
 // Environment knobs (all optional):
 //   CLAKS_DIFF_SEED            run exactly one seed instead of the sweep
-//   CLAKS_DIFF_SPECS           number of specs in the sweep (default 200)
 //   CLAKS_DIFF_MUTATION_SPECS  mutation scenarios (default 100)
 //   CLAKS_DIFF_SNAPSHOT_SPECS  snapshot round-trip specs (default 100)
 //   CLAKS_DIFF_SNAPSHOT_MUTATION_SPECS
 //                              mutate-after-load scenarios (default 40)
-//   CLAKS_TEST_SHARDS          force one shard count
 
 #include <gtest/gtest.h>
 
@@ -115,7 +111,7 @@ DiffSpec MakeSpec(uint64_t seed) {
   DiffSpec spec;
   spec.seed = seed;
   // Every 4th spec (on average) runs at 10x scale; the rest stay on the
-  // small instance so the default 200-spec sweep finishes fast.
+  // small instance so the sweeps finish fast.
   spec.big_dataset = rng.Bernoulli(0.25);
 
   spec.options.method = kMethods[rng.Index(std::size(kMethods))];
@@ -184,9 +180,10 @@ std::string Fingerprint(const SearchHit& hit, const Ranker& ranker) {
   return out;
 }
 
-/// Everything a run exposes that must be shard-invariant. Pages keep
-/// their boundaries (a vector per Next call), so a merge that slips one
-/// hit across a page edge fails even when the concatenation matches.
+/// Everything a run exposes that two agreeing engines must reproduce.
+/// Pages keep their boundaries (a vector per Next call), so a run that
+/// slips one hit across a page edge, or drains one page early or late,
+/// fails even when the concatenation matches.
 struct RunOutcome {
   bool prepare_ok = false;
   std::string prepare_error;
@@ -213,15 +210,12 @@ struct RunOutcome {
   }
 };
 
-RunOutcome RunSpec(const KeywordSearchEngine& engine, const DiffSpec& spec,
-                   size_t shards) {
+RunOutcome RunSpec(const KeywordSearchEngine& engine, const DiffSpec& spec) {
   RunOutcome outcome;
-  SearchOptions options = spec.options;
-  options.shards = shards;
-  auto prepared = engine.Prepare(spec.query, options);
+  auto prepared = engine.Prepare(spec.query, spec.options);
   if (!prepared.ok()) {
-    // A prepare failure must reproduce identically under every shard
-    // count; record it instead of aborting the comparison.
+    // A prepare failure must reproduce identically on both engines;
+    // record it instead of aborting the comparison.
     outcome.prepare_error = prepared.status().message();
     return outcome;
   }
@@ -256,7 +250,7 @@ RunOutcome RunSpec(const KeywordSearchEngine& engine, const DiffSpec& spec,
 }
 
 // ---------------------------------------------------------------------------
-// The sweep
+// Suite engines
 // ---------------------------------------------------------------------------
 
 size_t EnvCount(const char* name, size_t fallback) {
@@ -297,45 +291,6 @@ Engines* BuildEngines() {
 const Engines& GetEngines() {
   static Engines* engines = BuildEngines();
   return *engines;
-}
-
-TEST(DifferentialTest, ShardedExecutionIsByteIdentical) {
-  constexpr uint64_t kBaseSeed = 0x5eed0000;
-  std::vector<uint64_t> seeds;
-  if (const char* forced = std::getenv("CLAKS_DIFF_SEED")) {
-    seeds.push_back(std::strtoull(forced, nullptr, 10));
-  } else {
-    size_t count = EnvCount("CLAKS_DIFF_SPECS", 200);
-    for (size_t i = 0; i < count; ++i) seeds.push_back(kBaseSeed + i);
-  }
-  std::vector<size_t> shard_counts = {2, 4};
-  if (std::getenv("CLAKS_TEST_SHARDS") != nullptr) {
-    shard_counts = {EnvCount("CLAKS_TEST_SHARDS", 2)};
-    ASSERT_GT(shard_counts[0], 0u);
-  }
-
-  for (uint64_t seed : seeds) {
-    DiffSpec spec = MakeSpec(seed);
-    const KeywordSearchEngine& engine = spec.big_dataset
-                                            ? *GetEngines().big_engine
-                                            : *GetEngines().small_engine;
-    RunOutcome unsharded = RunSpec(engine, spec, /*shards=*/1);
-    for (size_t shards : shard_counts) {
-      RunOutcome sharded = RunSpec(engine, spec, shards);
-      if (!(sharded == unsharded)) {
-        ADD_FAILURE() << "sharded run diverged from unsharded\n"
-                      << "spec: " << spec.ToString() << "\n"
-                      << "shards=" << shards << "\n"
-                      << "unsharded: " << unsharded.ToString() << "\n"
-                      << "sharded:   " << sharded.ToString() << "\n"
-                      << "reproduce: CLAKS_DIFF_SEED=" << seed
-                      << " ./differential_test";
-        // One divergence prints in full; stop instead of spamming the
-        // log with every later seed's diff.
-        return;
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -475,11 +430,6 @@ TEST(DifferentialTest, DeltaMutationSequencesMatchColdRebuild) {
     size_t count = EnvCount("CLAKS_DIFF_MUTATION_SPECS", 100);
     for (size_t i = 0; i < count; ++i) seeds.push_back(kBaseSeed + i);
   }
-  std::vector<size_t> shard_counts = {1, 2, 4};
-  if (std::getenv("CLAKS_TEST_SHARDS") != nullptr) {
-    shard_counts = {EnvCount("CLAKS_TEST_SHARDS", 1)};
-    ASSERT_GT(shard_counts[0], 0u);
-  }
 
   const GeneratedDataset& master = GetEngines().small_data;
   for (uint64_t seed : seeds) {
@@ -519,21 +469,19 @@ TEST(DifferentialTest, DeltaMutationSequencesMatchColdRebuild) {
           rebuilt_db.get(), master.er_schema, master.mapping);
       ASSERT_TRUE(rebuilt.ok());
 
-      for (size_t shards : shard_counts) {
-        RunOutcome derived_run = RunSpec(*snapshot->engine, spec, shards);
-        RunOutcome rebuilt_run = RunSpec(**rebuilt, spec, shards);
-        if (!(derived_run == rebuilt_run)) {
-          ADD_FAILURE()
-              << "delta-derived snapshot diverged from cold rebuild\n"
-              << "spec: " << spec.ToString() << "\n"
-              << "batch=" << batch << " shards=" << shards << "\n"
-              << "derived: " << derived_run.ToString() << "\n"
-              << "rebuilt: " << rebuilt_run.ToString() << "\n"
-              << "reproduce: CLAKS_DIFF_SEED=" << seed
-              << " ./differential_test --gtest_filter="
-                 "DifferentialTest.DeltaMutationSequencesMatchColdRebuild";
-          return;
-        }
+      RunOutcome derived_run = RunSpec(*snapshot->engine, spec);
+      RunOutcome rebuilt_run = RunSpec(**rebuilt, spec);
+      if (!(derived_run == rebuilt_run)) {
+        ADD_FAILURE()
+            << "delta-derived snapshot diverged from cold rebuild\n"
+            << "spec: " << spec.ToString() << "\n"
+            << "batch=" << batch << "\n"
+            << "derived: " << derived_run.ToString() << "\n"
+            << "rebuilt: " << rebuilt_run.ToString() << "\n"
+            << "reproduce: CLAKS_DIFF_SEED=" << seed
+            << " ./differential_test --gtest_filter="
+               "DifferentialTest.DeltaMutationSequencesMatchColdRebuild";
+        return;
       }
     }
   }
@@ -591,11 +539,6 @@ TEST(DifferentialTest, SnapshotRoundTripIsByteIdentical) {
     size_t count = EnvCount("CLAKS_DIFF_SNAPSHOT_SPECS", 100);
     for (size_t i = 0; i < count; ++i) seeds.push_back(kBaseSeed + i);
   }
-  std::vector<size_t> shard_counts = {1, 2, 4};
-  if (std::getenv("CLAKS_TEST_SHARDS") != nullptr) {
-    shard_counts = {EnvCount("CLAKS_TEST_SHARDS", 1)};
-    ASSERT_GT(shard_counts[0], 0u);
-  }
 
   for (uint64_t seed : seeds) {
     DiffSpec spec = MakeSpec(seed);
@@ -605,20 +548,17 @@ TEST(DifferentialTest, SnapshotRoundTripIsByteIdentical) {
     const KeywordSearchEngine& loaded =
         spec.big_dataset ? *GetSnapshotEngines().big_loaded.engine
                          : *GetSnapshotEngines().small_loaded.engine;
-    for (size_t shards : shard_counts) {
-      RunOutcome memory_run = RunSpec(in_memory, spec, shards);
-      RunOutcome loaded_run = RunSpec(loaded, spec, shards);
-      if (!(loaded_run == memory_run)) {
-        ADD_FAILURE() << "mmap-loaded engine diverged from the original\n"
-                      << "spec: " << spec.ToString() << "\n"
-                      << "shards=" << shards << "\n"
-                      << "in-memory: " << memory_run.ToString() << "\n"
-                      << "loaded:    " << loaded_run.ToString() << "\n"
-                      << "reproduce: CLAKS_DIFF_SEED=" << seed
-                      << " ./differential_test --gtest_filter="
-                         "DifferentialTest.SnapshotRoundTripIsByteIdentical";
-        return;
-      }
+    RunOutcome memory_run = RunSpec(in_memory, spec);
+    RunOutcome loaded_run = RunSpec(loaded, spec);
+    if (!(loaded_run == memory_run)) {
+      ADD_FAILURE() << "mmap-loaded engine diverged from the original\n"
+                    << "spec: " << spec.ToString() << "\n"
+                    << "in-memory: " << memory_run.ToString() << "\n"
+                    << "loaded:    " << loaded_run.ToString() << "\n"
+                    << "reproduce: CLAKS_DIFF_SEED=" << seed
+                    << " ./differential_test --gtest_filter="
+                       "DifferentialTest.SnapshotRoundTripIsByteIdentical";
+      return;
     }
   }
 }
@@ -635,11 +575,6 @@ TEST(DifferentialTest, MutationsAfterSnapshotLoadMatchColdRebuild) {
   } else {
     size_t count = EnvCount("CLAKS_DIFF_SNAPSHOT_MUTATION_SPECS", 40);
     for (size_t i = 0; i < count; ++i) seeds.push_back(kBaseSeed + i);
-  }
-  std::vector<size_t> shard_counts = {1, 2, 4};
-  if (std::getenv("CLAKS_TEST_SHARDS") != nullptr) {
-    shard_counts = {EnvCount("CLAKS_TEST_SHARDS", 1)};
-    ASSERT_GT(shard_counts[0], 0u);
   }
 
   const std::string& path = GetSnapshotEngines().small_path;
@@ -677,21 +612,19 @@ TEST(DifferentialTest, MutationsAfterSnapshotLoadMatchColdRebuild) {
           rebuilt_db.get(), master.er_schema, master.mapping);
       ASSERT_TRUE(rebuilt.ok());
 
-      for (size_t shards : shard_counts) {
-        RunOutcome derived_run = RunSpec(*snapshot->engine, spec, shards);
-        RunOutcome rebuilt_run = RunSpec(**rebuilt, spec, shards);
-        if (!(derived_run == rebuilt_run)) {
-          ADD_FAILURE()
-              << "mutation on the mmap'd base diverged from cold rebuild\n"
-              << "spec: " << spec.ToString() << "\n"
-              << "batch=" << batch << " shards=" << shards << "\n"
-              << "derived: " << derived_run.ToString() << "\n"
-              << "rebuilt: " << rebuilt_run.ToString() << "\n"
-              << "reproduce: CLAKS_DIFF_SEED=" << seed
-              << " ./differential_test --gtest_filter="
-                 "DifferentialTest.MutationsAfterSnapshotLoadMatchColdRebuild";
-          return;
-        }
+      RunOutcome derived_run = RunSpec(*snapshot->engine, spec);
+      RunOutcome rebuilt_run = RunSpec(**rebuilt, spec);
+      if (!(derived_run == rebuilt_run)) {
+        ADD_FAILURE()
+            << "mutation on the mmap'd base diverged from cold rebuild\n"
+            << "spec: " << spec.ToString() << "\n"
+            << "batch=" << batch << "\n"
+            << "derived: " << derived_run.ToString() << "\n"
+            << "rebuilt: " << rebuilt_run.ToString() << "\n"
+            << "reproduce: CLAKS_DIFF_SEED=" << seed
+            << " ./differential_test --gtest_filter="
+               "DifferentialTest.MutationsAfterSnapshotLoadMatchColdRebuild";
+        return;
       }
     }
   }

@@ -265,29 +265,5 @@ TEST_F(MetricsTest, RenderJsonGolden) {
             "]}");
 }
 
-TEST(ComputeSkewTest, DefinedValuesForDegenerateInputs) {
-  SkewSummary empty = ComputeSkew({});
-  EXPECT_EQ(empty.max, 0u);
-  EXPECT_DOUBLE_EQ(empty.mean, 0.0);
-  EXPECT_DOUBLE_EQ(empty.ratio, 1.0);
-
-  SkewSummary zeros = ComputeSkew({0, 0, 0});
-  EXPECT_EQ(zeros.max, 0u);
-  EXPECT_DOUBLE_EQ(zeros.mean, 0.0);
-  EXPECT_DOUBLE_EQ(zeros.ratio, 1.0);
-}
-
-TEST(ComputeSkewTest, BalancedAndSkewedCounts) {
-  SkewSummary balanced = ComputeSkew({4, 4, 4});
-  EXPECT_EQ(balanced.max, 4u);
-  EXPECT_DOUBLE_EQ(balanced.mean, 4.0);
-  EXPECT_DOUBLE_EQ(balanced.ratio, 1.0);
-
-  SkewSummary skewed = ComputeSkew({9, 1, 2});
-  EXPECT_EQ(skewed.max, 9u);
-  EXPECT_DOUBLE_EQ(skewed.mean, 4.0);
-  EXPECT_DOUBLE_EQ(skewed.ratio, 2.25);
-}
-
 }  // namespace
 }  // namespace claks

@@ -69,8 +69,7 @@ TEST(QuerySpecErrorStringsTest, EveryCodeHasADistinctName) {
       QuerySpecError::kPerEndpointLimitWithBanks,
       QuerySpecError::kZeroMaxRdbEdges,
       QuerySpecError::kZeroTmax,
-      QuerySpecError::kStreamWithoutTopK,
-      QuerySpecError::kZeroShards};
+      QuerySpecError::kStreamWithoutTopK};
   std::vector<std::string> names;
   for (QuerySpecError error : kAll) {
     std::string name = QuerySpecErrorToString(error);
@@ -186,18 +185,6 @@ TEST(QuerySpecValidateTest, StreamWithoutTopK) {
   // Unbounded consumption belongs to kEnumerate.
   options.method = SearchMethod::kEnumerate;
   options.top_k = 0;
-  EXPECT_TRUE(QuerySpec::Validate(options).empty());
-}
-
-TEST(QuerySpecValidateTest, ZeroShards) {
-  SearchOptions options;
-  options.shards = 0;
-  EXPECT_EQ(QuerySpec::Validate(options),
-            std::vector<QuerySpecError>{QuerySpecError::kZeroShards});
-  // 1 is the single-threaded path, any larger count fans out.
-  options.shards = 1;
-  EXPECT_TRUE(QuerySpec::Validate(options).empty());
-  options.shards = 8;
   EXPECT_TRUE(QuerySpec::Validate(options).empty());
 }
 

@@ -18,9 +18,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "datasets/company_paper.h"
 #include "service/result_cache.h"
-#include "service/thread_pool.h"
 
 namespace claks {
 namespace {

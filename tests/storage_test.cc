@@ -3,8 +3,8 @@
 // Storage-engine tests: snapshot save/load round-trip identity, the
 // typed corruption taxonomy (StorageError), and the save preconditions.
 // The fuzz-style corruption sweep lives in tests/storage_fuzz_test.cc;
-// the full search-identity sweep across methods x rankers x shards is
-// part of tests/differential_test.cc.
+// the full search-identity sweep across methods x rankers is part of
+// tests/differential_test.cc.
 
 #include "storage/snapshot.h"
 

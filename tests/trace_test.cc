@@ -1,8 +1,8 @@
 // Copyright 2026 The claks Authors.
 //
 // Unit tests for trace spans and the bounded recorder: same-thread
-// nesting, cross-thread parenting through a ThreadPool via a captured
-// TraceContext, ring-buffer overwrite accounting, the Chrome trace_event
+// nesting, per-thread span chains on ThreadPool workers, ring-buffer
+// overwrite accounting, the Chrome trace_event
 // JSON shape, and the no-recorder cost contract — with tracing off a
 // span is a load and a branch, proven here by counting global operator
 // new calls around a span storm (this TU replaces operator new/delete
@@ -66,9 +66,7 @@ TEST(TraceTest, NoRecorderMeansDisabledInactiveSpans) {
   EXPECT_FALSE(TraceSpan::Enabled());
   TraceSpan span("orphan");
   EXPECT_FALSE(span.active());
-  TraceContext context = TraceSpan::Capture();
-  EXPECT_EQ(context.recorder, nullptr);
-  TraceSpan child(context, "orphan-child");
+  TraceSpan child("orphan-child");
   EXPECT_FALSE(child.active());
 }
 
@@ -106,18 +104,16 @@ TEST(TraceTest, NestedSpansParentAutomaticallyInFinishOrder) {
             outer.start_ns + outer.duration_ns);
 }
 
-TEST(TraceTest, CrossThreadSpansParentThroughCapturedContext) {
+TEST(TraceTest, SpansOnPoolWorkersStartTheirOwnChain) {
   TraceRecorder recorder;
   recorder.Install();
   {
     TraceSpan root("search");
-    TraceContext context = TraceSpan::Capture();
-    EXPECT_EQ(context.recorder, &recorder);
     ThreadPool pool(2, 8);
     for (uint64_t i = 0; i < 4; ++i) {
-      pool.Submit([context, i] {
-        TraceSpan task(context, "task");
-        task.SetArg("shard", i);
+      pool.Submit([i] {
+        TraceSpan task("task");
+        task.SetArg("index", i);
       });
     }
     pool.Drain();
@@ -128,19 +124,20 @@ TEST(TraceTest, CrossThreadSpansParentThroughCapturedContext) {
   ASSERT_EQ(events.size(), 5u);
   const TraceEvent* root = FindEvent(events, "search");
   ASSERT_NE(root, nullptr);
-  std::vector<uint64_t> shards;
+  std::vector<uint64_t> indexes;
   for (const TraceEvent& event : events) {
     if (std::string(event.name) != "task") continue;
-    // Parented under the consumer-side root despite running on a pool
-    // worker, whose per-thread trace id differs from the root's.
-    EXPECT_EQ(event.parent_id, root->span_id);
+    // The current span is per thread: a worker's span is a root, not a
+    // child of the span open on the submitting thread, and carries the
+    // worker's own trace id.
+    EXPECT_EQ(event.parent_id, 0u);
     EXPECT_NE(event.tid, root->tid);
     ASSERT_NE(event.arg_name, nullptr);
-    EXPECT_STREQ(event.arg_name, "shard");
-    shards.push_back(event.arg_value);
+    EXPECT_STREQ(event.arg_name, "index");
+    indexes.push_back(event.arg_value);
   }
-  std::sort(shards.begin(), shards.end());
-  EXPECT_EQ(shards, (std::vector<uint64_t>{0, 1, 2, 3}));
+  std::sort(indexes.begin(), indexes.end());
+  EXPECT_EQ(indexes, (std::vector<uint64_t>{0, 1, 2, 3}));
 }
 
 TEST(TraceTest, RingOverwritesOldestAndCountsDropped) {
@@ -184,7 +181,7 @@ TEST(TraceTest, ToChromeJsonIsWellFormedTraceEventDocument) {
   recorder.Install();
   {
     TraceSpan alpha("alpha");
-    alpha.SetArg("shard", 2);
+    alpha.SetArg("index", 2);
     { TraceSpan beta("beta"); }
   }
   TraceRecorder::Uninstall();
@@ -196,7 +193,7 @@ TEST(TraceTest, ToChromeJsonIsWellFormedTraceEventDocument) {
   EXPECT_NE(json.find("\"name\":\"beta\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"cat\":\"claks\""), std::string::npos);
-  EXPECT_NE(json.find("\"shard\":2"), std::string::npos);
+  EXPECT_NE(json.find("\"index\":2"), std::string::npos);
   EXPECT_NE(json.find("\"span\":"), std::string::npos);
   EXPECT_NE(json.find("\"parent\":"), std::string::npos);
   // Balanced braces/brackets: the renderer emits no string that could
@@ -216,7 +213,7 @@ TEST(TraceTest, DisabledBuildCompilesToInertTwins) {
   {
     TraceSpan span("anything");
     EXPECT_FALSE(span.active());
-    span.SetArg("shard", 1);
+    span.SetArg("index", 1);
   }
   TraceRecorder::Uninstall();
   EXPECT_TRUE(recorder.Events().empty());
@@ -232,8 +229,7 @@ TEST(TraceTest, UntracedSpansAllocateNothing) {
   for (uint64_t i = 0; i < 1000; ++i) {
     TraceSpan span("noop");
     span.SetArg("i", i);
-    TraceContext context = TraceSpan::Capture();
-    TraceSpan child(context, "noop-child");
+    TraceSpan child("noop-child");
   }
   EXPECT_EQ(AllocationCount(), before);
 }
