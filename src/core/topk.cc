@@ -39,19 +39,37 @@ void ConnectionStream::AddLane(const std::vector<uint32_t>& sources,
   std::set<uint32_t> seen;
   for (uint32_t source : sources) {
     if (!seen.insert(source).second) continue;
-    queue_.push(Frontier{NodePath{source, {}}, {source}, 0, lane,
-                         next_sequence_++});
+    Push(Step{kNoStep, source, 0, 0}, 0, lane);
   }
 }
 
-bool ConnectionStream::MarkEmitted(const Frontier& frontier) {
-  std::vector<uint32_t> nodes = frontier.nodes;
-  std::sort(nodes.begin(), nodes.end());
-  std::vector<uint32_t> edges;
-  edges.reserve(frontier.path.steps.size());
-  for (const DataAdjacency& step : frontier.path.steps) {
-    edges.push_back(step.edge_index);
+void ConnectionStream::Push(Step step, uint32_t length, uint32_t lane) {
+  // A wrapped index would alias another path: abort instead.
+  CLAKS_CHECK_LT(steps_.size(), size_t{kNoStep});
+  queue_.push(Entry{static_cast<uint32_t>(steps_.size()), length, lane});
+  steps_.push_back(step);
+}
+
+NodePath ConnectionStream::PathOf(uint32_t step) const {
+  NodePath path;
+  for (; steps_[step].prev != kNoStep; step = steps_[step].prev) {
+    const Step& hop = steps_[step];
+    path.steps.push_back({hop.edge_index, hop.node, hop.along_fk});
   }
+  path.start = steps_[step].node;
+  std::reverse(path.steps.begin(), path.steps.end());
+  return path;
+}
+
+bool ConnectionStream::MarkEmitted(uint32_t step) {
+  std::vector<uint32_t> nodes;
+  std::vector<uint32_t> edges;
+  for (; steps_[step].prev != kNoStep; step = steps_[step].prev) {
+    nodes.push_back(steps_[step].node);
+    edges.push_back(steps_[step].edge_index);
+  }
+  nodes.push_back(steps_[step].node);
+  std::sort(nodes.begin(), nodes.end());
   std::sort(edges.begin(), edges.end());
   return emitted_.insert({std::move(nodes), std::move(edges)}).second;
 }
@@ -69,45 +87,32 @@ std::optional<Connection> ConnectionStream::Next(size_t stop_length) {
 
 std::optional<NodePath> ConnectionStream::NextPath(size_t stop_length) {
   while (!queue_.empty()) {
-    if (queue_.top().length >= stop_length) return std::nullopt;
-    // priority_queue::top is const; moving out before pop is safe because
-    // the popped element is never read again.
-    // claks-lint: allow(no-const-cast) -- queue_ is this stream's own
-    // single-consumer state, not a published snapshot; copying the path
-    // vectors on every pop would tax the hottest loop in the engine.
-    Frontier frontier = std::move(const_cast<Frontier&>(queue_.top()));
+    Entry entry = queue_.top();
+    if (entry.length >= stop_length) return std::nullopt;
     queue_.pop();
     ++expansions_;
-    uint32_t end = frontier.path.End();
+    uint32_t end = steps_[entry.step].node;
 
-    bool is_answer = lane_targets_[frontier.lane].count(end) > 0;
-    if (is_answer) {
+    if (lane_targets_[entry.lane].count(end) > 0) {
       // A zero-length answer is a tuple in both keyword sets; longer
       // answers end at their first target by construction (we never expand
       // past a target). With two lanes the same undirected path can arrive
       // from both sides: only the first arrival is emitted.
-      if (!dedup_ || MarkEmitted(frontier)) {
-        return std::move(frontier.path);
-      }
+      if (!dedup_ || MarkEmitted(entry.step)) return PathOf(entry.step);
       continue;
     }
-    if (frontier.path.length() >= max_edges_) continue;
+    if (entry.length >= max_edges_) continue;
 
-    // Expand: simple paths only.
+    // Expand: simple paths only. The prefix chain has at most max_edges_
+    // records, the same walk a node-vector scan would make.
     for (const DataAdjacency& adj : graph_->Neighbors(end)) {
-      if (std::find(frontier.nodes.begin(), frontier.nodes.end(),
-                    adj.neighbor) != frontier.nodes.end()) {
-        continue;
+      uint32_t at = entry.step;
+      while (at != kNoStep && steps_[at].node != adj.neighbor) {
+        at = steps_[at].prev;
       }
-      Frontier extended;
-      extended.path = frontier.path;
-      extended.path.steps.push_back(adj);
-      extended.nodes = frontier.nodes;
-      extended.nodes.push_back(adj.neighbor);
-      extended.length = extended.path.length();
-      extended.lane = frontier.lane;
-      extended.sequence = next_sequence_++;
-      queue_.push(std::move(extended));
+      if (at != kNoStep) continue;
+      Push(Step{entry.step, adj.neighbor, adj.edge_index, adj.along_fk},
+           entry.length + 1, entry.lane);
     }
   }
   return std::nullopt;

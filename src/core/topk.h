@@ -24,10 +24,17 @@
 // spans of graph/data_graph.h; `expansions()` is the work metric the tests
 // and benchmarks assert on. KeywordSearchEngine dispatches here for
 // SearchMethod::kStream.
+//
+// Memory: partial paths live in a parent-pointer arena. Each pushed path
+// costs one 16-byte step record (its last hop plus the index of its parent's
+// record, so children share their prefix) and one 12-byte queue entry;
+// nothing is freed until the stream is destroyed. A NodePath is built only
+// for an emitted answer.
 
 #ifndef CLAKS_CORE_TOPK_H_
 #define CLAKS_CORE_TOPK_H_
 
+#include <cstdint>
 #include <queue>
 #include <set>
 #include <utility>
@@ -80,29 +87,47 @@ class ConnectionStream {
   size_t expansions() const { return expansions_; }
 
  private:
-  struct Frontier {
-    NodePath path;
-    /// Nodes of `path` in travel order, maintained incrementally so
-    /// expansion never rebuilds the vector from the step list.
-    std::vector<uint32_t> nodes;
-    // Orders the priority queue: fewer edges first, then insertion order.
-    size_t length;
+  /// Arena index meaning "no parent": the step is a root seed.
+  static constexpr uint32_t kNoStep = UINT32_MAX;
+
+  /// The last hop of one partial path; `prev` indexes its parent's record.
+  /// A root seed holds its source node and no edge.
+  struct Step {
+    uint32_t prev;
+    uint32_t node;
+    uint32_t edge_index;
+    uint32_t along_fk;
+  };
+  static_assert(sizeof(Step) == 16);
+
+  /// A queued partial path. Records are appended in push order, so the
+  /// arena index doubles as the discovery-order tie-break.
+  struct Entry {
+    uint32_t step;
+    uint32_t length;
     uint32_t lane;
-    uint64_t sequence;
-    bool operator>(const Frontier& other) const {
+    // Orders the priority queue: fewer edges first, then insertion order.
+    bool operator>(const Entry& other) const {
       if (length != other.length) return length > other.length;
-      return sequence > other.sequence;
+      return step > other.step;
     }
   };
+  static_assert(sizeof(Entry) == 12);
 
   ConnectionStream(const DataGraph* graph, size_t max_edges);
 
   void AddLane(const std::vector<uint32_t>& sources,
                const std::vector<uint32_t>& targets);
 
+  /// Appends a step record and queues it as a path of `length` edges.
+  void Push(Step step, uint32_t length, uint32_t lane);
+
+  /// Rebuilds the path ending at arena record `step`.
+  NodePath PathOf(uint32_t step) const;
+
   /// Records the canonical (sorted node set, sorted edge set) form of an
   /// answer; false when it was already emitted by the other lane.
-  bool MarkEmitted(const Frontier& frontier);
+  bool MarkEmitted(uint32_t step);
 
   const DataGraph* graph_;
   /// Target node set per lane (one lane for the plain constructor, two for
@@ -110,11 +135,10 @@ class ConnectionStream {
   std::vector<std::set<uint32_t>> lane_targets_;
   size_t max_edges_;
   bool dedup_ = false;
-  uint64_t next_sequence_ = 0;
   size_t expansions_ = 0;
   std::set<std::pair<std::vector<uint32_t>, std::vector<uint32_t>>> emitted_;
-  std::priority_queue<Frontier, std::vector<Frontier>, std::greater<>>
-      queue_;
+  std::vector<Step> steps_;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
 };
 
 /// Collects the first `k` connections of a stream (all of them when the

@@ -119,29 +119,6 @@ struct PathEnumerator {
   }
 };
 
-// The per-source body of EnumerateSimplePathsBetweenSets: appends every
-// simple path from `source` to a node of `targets` (DFS discovery order,
-// no sort) to `out`, stopping once `out` holds `max_results` paths
-// (0 = unlimited).
-void AppendSimplePathsFromSource(const DataGraph& graph, uint32_t source,
-                                 const std::vector<uint32_t>& targets,
-                                 size_t max_edges, size_t max_results,
-                                 std::vector<NodePath>* out) {
-  if (max_results != 0 && out->size() >= max_results) return;
-  std::unordered_set<uint32_t> target_set(targets.begin(), targets.end());
-  if (target_set.count(source) > 0) {
-    // A single tuple containing both keywords is a length-0 connection.
-    out->push_back(NodePath{source, {}});
-    return;
-  }
-  PathEnumerator enumerator{graph,       max_edges, max_results,
-                            &target_set, out,       {},
-                            std::vector<bool>(graph.node_id_bound(), false),
-                            source};
-  enumerator.on_path[source] = true;
-  enumerator.Recurse(source);
-}
-
 }  // namespace
 
 std::vector<NodePath> EnumerateSimplePaths(const DataGraph& graph,
@@ -157,10 +134,24 @@ std::vector<NodePath> EnumerateSimplePathsBetweenSets(
     const std::vector<uint32_t>& targets, size_t max_edges,
     size_t max_results) {
   std::vector<NodePath> out;
+  std::unordered_set<uint32_t> target_set(targets.begin(), targets.end());
+  // One enumerator serves every source: Recurse restores on_path and the
+  // prefix on the way out, so only the source's own bit needs clearing.
+  PathEnumerator enumerator{graph,       max_edges, max_results,
+                            &target_set, &out,      {},
+                            std::vector<bool>(graph.node_id_bound(), false),
+                            /*start=*/0};
   for (uint32_t source : sources) {
-    AppendSimplePathsFromSource(graph, source, targets, max_edges,
-                                max_results, &out);
-    if (max_results != 0 && out.size() >= max_results) break;
+    if (enumerator.Full()) break;
+    if (target_set.count(source) > 0) {
+      // A single tuple containing both keywords is a length-0 connection.
+      out.push_back(NodePath{source, {}});
+      continue;
+    }
+    enumerator.start = source;
+    enumerator.on_path[source] = true;
+    enumerator.Recurse(source);
+    enumerator.on_path[source] = false;
   }
   std::stable_sort(out.begin(), out.end(),
                    [](const NodePath& a, const NodePath& b) {

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <queue>
+#include <set>
 
 #include "core/enumerator.h"
 #include "datasets/company_gen.h"
@@ -13,6 +16,165 @@
 
 namespace claks {
 namespace {
+
+// The copy-per-child stream that preceded the step arena, kept as the
+// reference the arena must match pop for pop: every child owns copies of
+// its parent's step and node vectors.
+class ReferenceStream {
+ public:
+  ReferenceStream(const DataGraph* graph, size_t max_edges)
+      : graph_(graph), max_edges_(max_edges) {}
+
+  void AddLane(const std::vector<uint32_t>& sources,
+               const std::vector<uint32_t>& targets) {
+    uint32_t lane = static_cast<uint32_t>(lane_targets_.size());
+    lane_targets_.emplace_back(targets.begin(), targets.end());
+    std::set<uint32_t> seen;
+    for (uint32_t source : sources) {
+      if (!seen.insert(source).second) continue;
+      queue_.push(Frontier{NodePath{source, {}}, {source}, 0, lane,
+                           next_sequence_++});
+    }
+  }
+
+  void EnableDedup() { dedup_ = true; }
+
+  std::optional<NodePath> NextPath(size_t stop_length) {
+    while (!queue_.empty()) {
+      if (queue_.top().length >= stop_length) return std::nullopt;
+      Frontier frontier = queue_.top();
+      queue_.pop();
+      ++expansions_;
+      uint32_t end = frontier.path.End();
+      if (lane_targets_[frontier.lane].count(end) > 0) {
+        if (!dedup_ || MarkEmitted(frontier)) return frontier.path;
+        continue;
+      }
+      if (frontier.path.length() >= max_edges_) continue;
+      for (const DataAdjacency& adj : graph_->Neighbors(end)) {
+        if (std::find(frontier.nodes.begin(), frontier.nodes.end(),
+                      adj.neighbor) != frontier.nodes.end()) {
+          continue;
+        }
+        Frontier extended;
+        extended.path = frontier.path;
+        extended.path.steps.push_back(adj);
+        extended.nodes = frontier.nodes;
+        extended.nodes.push_back(adj.neighbor);
+        extended.length = extended.path.length();
+        extended.lane = frontier.lane;
+        extended.sequence = next_sequence_++;
+        queue_.push(std::move(extended));
+      }
+    }
+    return std::nullopt;
+  }
+
+  std::optional<size_t> PendingLength() const {
+    if (queue_.empty()) return std::nullopt;
+    return queue_.top().length;
+  }
+
+  size_t expansions() const { return expansions_; }
+
+ private:
+  struct Frontier {
+    NodePath path;
+    std::vector<uint32_t> nodes;
+    size_t length;
+    uint32_t lane;
+    uint64_t sequence;
+    bool operator>(const Frontier& other) const {
+      if (length != other.length) return length > other.length;
+      return sequence > other.sequence;
+    }
+  };
+
+  bool MarkEmitted(const Frontier& frontier) {
+    std::vector<uint32_t> nodes = frontier.nodes;
+    std::sort(nodes.begin(), nodes.end());
+    std::vector<uint32_t> edges;
+    for (const DataAdjacency& step : frontier.path.steps) {
+      edges.push_back(step.edge_index);
+    }
+    std::sort(edges.begin(), edges.end());
+    return emitted_.insert({std::move(nodes), std::move(edges)}).second;
+  }
+
+  const DataGraph* graph_;
+  std::vector<std::set<uint32_t>> lane_targets_;
+  size_t max_edges_;
+  bool dedup_ = false;
+  uint64_t next_sequence_ = 0;
+  size_t expansions_ = 0;
+  std::set<std::pair<std::vector<uint32_t>, std::vector<uint32_t>>> emitted_;
+  std::priority_queue<Frontier, std::vector<Frontier>, std::greater<>>
+      queue_;
+};
+
+// Drives a ConnectionStream and the reference with the same NextPath
+// bounds (cycling through `stops`) and expects identical paths, expansion
+// counts and pending lengths after every call. Stops after `max_calls`
+// calls or once both are exhausted.
+void ExpectMatchesReference(const DataGraph& graph,
+                            const std::vector<uint32_t>& side_a,
+                            const std::vector<uint32_t>& side_b,
+                            size_t max_edges, bool bidirectional,
+                            const std::vector<size_t>& stops,
+                            size_t max_calls) {
+  ConnectionStream stream =
+      bidirectional
+          ? ConnectionStream::Bidirectional(&graph, side_a, side_b, max_edges)
+          : ConnectionStream(&graph, side_a, side_b, max_edges);
+  ReferenceStream reference(&graph, max_edges);
+  reference.AddLane(side_a, side_b);
+  if (bidirectional) {
+    reference.AddLane(side_b, side_a);
+    reference.EnableDedup();
+  }
+  for (size_t call = 0; call < max_calls; ++call) {
+    SCOPED_TRACE(::testing::Message()
+                 << "max_edges=" << max_edges << " bidirectional="
+                 << bidirectional << " call=" << call);
+    size_t stop = stops[call % stops.size()];
+    std::optional<NodePath> got = stream.NextPath(stop);
+    std::optional<NodePath> want = reference.NextPath(stop);
+    ASSERT_EQ(got.has_value(), want.has_value());
+    ASSERT_EQ(stream.expansions(), reference.expansions());
+    ASSERT_EQ(stream.PendingLength(), reference.PendingLength());
+    if (got.has_value()) {
+      ASSERT_EQ(got->start, want->start);
+      ASSERT_EQ(got->steps.size(), want->steps.size());
+      for (size_t i = 0; i < got->steps.size(); ++i) {
+        EXPECT_EQ(got->steps[i].edge_index, want->steps[i].edge_index);
+        EXPECT_EQ(got->steps[i].neighbor, want->steps[i].neighbor);
+        EXPECT_EQ(got->steps[i].along_fk, want->steps[i].along_fk);
+      }
+    } else if (!reference.PendingLength().has_value()) {
+      return;
+    }
+  }
+}
+
+// Unbounded pulls, and a pause/resume pattern that stops short of, at and
+// past the pending length before running unbounded.
+const std::vector<std::vector<size_t>> kStopPatterns = {
+    {ConnectionStream::kNoStopLength},
+    {0, 1, 2, 2, 1, 3, ConnectionStream::kNoStopLength, 4, 2, 5}};
+
+void ExpectMatchesReferenceEverywhere(const DataGraph& graph,
+                                      const std::vector<uint32_t>& side_a,
+                                      const std::vector<uint32_t>& side_b,
+                                      size_t max_calls) {
+  for (size_t max_edges = 0; max_edges <= 5; ++max_edges) {
+    for (bool bidirectional : {false, true}) {
+      for (const std::vector<size_t>& stops : kStopPatterns) {
+        ExpectMatchesReference(graph, side_a, side_b, max_edges,
+                               bidirectional, stops, max_calls);
+      }
+    }
+  }
+}
 
 class TopkTest : public ::testing::Test {
  protected:
@@ -285,6 +447,41 @@ TEST(TopkSyntheticTest, ScalesAndStaysOrdered) {
     if (++count > 5000) break;  // safety bound
   }
   EXPECT_GT(count, 0u);
+}
+
+TEST_F(TopkTest, MatchesReferenceStreamOnPaperInstance) {
+  auto xml = Nodes({"d1", "d2", "p1", "p2"});
+  auto smith = Nodes({"e1", "e2"});
+  ExpectMatchesReferenceEverywhere(*graph_, xml, smith, 1000);
+  ExpectMatchesReferenceEverywhere(*graph_, smith, xml, 1000);
+  // Shared and duplicated endpoints: zero-length answers, lane dedup.
+  ExpectMatchesReferenceEverywhere(*graph_, Nodes({"d1", "e1", "d1"}),
+                                   Nodes({"d1", "p1"}), 1000);
+}
+
+TEST(TopkReferenceTest, MatchesReferenceStreamOnGeneratedCompany) {
+  for (size_t scale : {1, 10}) {
+    auto dataset = GenerateCompanyDataset(CompanyGenOptions::AtScale(scale));
+    ASSERT_TRUE(dataset.ok());
+    DataGraph graph(dataset->db.get());
+    InvertedIndex index(dataset->db.get());
+    for (const char* query :
+         {"smith xml", "kim ranking", "chen databases", "xml databases"}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "scale=" << scale << " query=" << query);
+      auto matches =
+          MatchKeywords(index, ParseKeywordQuery(query, index.tokenizer()));
+      ASSERT_TRUE(AllKeywordsMatched(matches));
+      std::vector<std::vector<uint32_t>> sides(2);
+      for (size_t side = 0; side < 2; ++side) {
+        for (const TupleMatch& m : matches[side].matches) {
+          sides[side].push_back(graph.NodeOf(m.tuple));
+        }
+      }
+      // Past a few hundred answers the comparison only repeats itself.
+      ExpectMatchesReferenceEverywhere(graph, sides[0], sides[1], 300);
+    }
+  }
 }
 
 }  // namespace

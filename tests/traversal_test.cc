@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 
+#include "datasets/company_gen.h"
 #include "datasets/company_paper.h"
+#include "text/matcher.h"
 
 namespace claks {
 namespace {
@@ -127,6 +130,88 @@ TEST_F(TraversalTest, SortedByLength) {
       *graph_, {N("d1"), N("d2")}, {N("e1"), N("e2")}, 4);
   for (size_t i = 1; i < paths.size(); ++i) {
     EXPECT_LE(paths[i - 1].length(), paths[i].length());
+  }
+}
+
+// The set enumeration must equal running each source alone (with what is
+// left of the result budget) and stable-sorting the concatenation by
+// length.
+void ExpectMatchesPerSourceRuns(const DataGraph& graph,
+                                const std::vector<uint32_t>& sources,
+                                const std::vector<uint32_t>& targets,
+                                size_t max_edges, size_t max_results) {
+  SCOPED_TRACE(::testing::Message() << "max_edges=" << max_edges
+                                    << " max_results=" << max_results);
+  std::vector<NodePath> expected;
+  for (uint32_t source : sources) {
+    size_t budget = 0;
+    if (max_results != 0) {
+      if (expected.size() >= max_results) break;
+      budget = max_results - expected.size();
+    }
+    for (NodePath& path : EnumerateSimplePathsBetweenSets(
+             graph, {source}, targets, max_edges, budget)) {
+      expected.push_back(std::move(path));
+    }
+  }
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const NodePath& a, const NodePath& b) {
+                     return a.length() < b.length();
+                   });
+  std::vector<NodePath> got = EnumerateSimplePathsBetweenSets(
+      graph, sources, targets, max_edges, max_results);
+  ASSERT_EQ(got.size(), expected.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].start, expected[i].start) << "path " << i;
+    EXPECT_EQ(got[i].Nodes(), expected[i].Nodes()) << "path " << i;
+    ASSERT_EQ(got[i].steps.size(), expected[i].steps.size());
+    for (size_t j = 0; j < got[i].steps.size(); ++j) {
+      EXPECT_EQ(got[i].steps[j].edge_index, expected[i].steps[j].edge_index);
+    }
+  }
+}
+
+TEST_F(TraversalTest, SetEnumerationMatchesPerSourceRuns) {
+  // Duplicate sources, a source that is also a target, and caps that cut
+  // mid-source.
+  std::vector<uint32_t> sources = {N("d1"), N("p1"), N("d1"), N("e2"),
+                                   N("d2"), N("p2")};
+  std::vector<uint32_t> targets = {N("e1"), N("e2")};
+  size_t total =
+      EnumerateSimplePathsBetweenSets(*graph_, sources, targets, 4).size();
+  ASSERT_GT(total, 4u);
+  for (size_t max_edges = 0; max_edges <= 4; ++max_edges) {
+    for (size_t max_results : {size_t{0}, size_t{1}, size_t{2}, size_t{3},
+                               total - 1, total}) {
+      ExpectMatchesPerSourceRuns(*graph_, sources, targets, max_edges,
+                                 max_results);
+    }
+  }
+}
+
+TEST(TraversalGeneratedTest, SetEnumerationMatchesPerSourceRuns) {
+  auto dataset = GenerateCompanyDataset(CompanyGenOptions::AtScale(10));
+  ASSERT_TRUE(dataset.ok());
+  DataGraph graph(dataset->db.get());
+  InvertedIndex index(dataset->db.get());
+  auto matches =
+      MatchKeywords(index, ParseKeywordQuery("smith xml", index.tokenizer()));
+  ASSERT_TRUE(AllKeywordsMatched(matches));
+  std::vector<uint32_t> smith, xml;
+  for (const TupleMatch& m : matches[0].matches) {
+    smith.push_back(graph.NodeOf(m.tuple));
+  }
+  for (const TupleMatch& m : matches[1].matches) {
+    xml.push_back(graph.NodeOf(m.tuple));
+  }
+  // Repeat a source and add one target as a source.
+  smith.push_back(smith.front());
+  smith.push_back(xml.front());
+  size_t total = EnumerateSimplePathsBetweenSets(graph, smith, xml, 3).size();
+  ASSERT_GT(total, 10u);
+  for (size_t max_results : {size_t{0}, total / 3, total / 2 + 1}) {
+    ExpectMatchesPerSourceRuns(graph, smith, xml, 3, max_results);
+    ExpectMatchesPerSourceRuns(graph, xml, smith, 3, max_results);
   }
 }
 
