@@ -1,11 +1,10 @@
 // Copyright 2026 The claks Authors.
 //
 // Performance benchmarks (google-benchmark): index construction, graph
-// construction, connection enumeration, MTJNT (data-level and DISCOVER),
-// BANKS, ER projection and classification — across synthetic database
-// scales. The paper reports no performance numbers (its evaluation is a
-// worked example); these benchmarks demonstrate the system at realistic
-// sizes and let the two MTJNT implementations be compared.
+// construction, connection enumeration, MTJNT (DISCOVER), BANKS, ER
+// projection and classification — across synthetic database scales. The
+// paper reports no performance numbers (its evaluation is a worked
+// example); these benchmarks demonstrate the system at realistic sizes.
 
 #include <benchmark/benchmark.h>
 
@@ -129,23 +128,6 @@ void BM_SearchEnumerateWithInstanceCheck(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SearchEnumerateWithInstanceCheck)->Arg(1)->Arg(4);
-
-void BM_SearchMtjnt(benchmark::State& state) {
-  const KeywordSearchEngine& engine = CachedEngine(state.range(0));
-  SearchOptions options;
-  options.method = SearchMethod::kMtjnt;
-  options.tmax = static_cast<size_t>(state.range(1));
-  options.instance_check = false;
-  size_t hits = 0;
-  for (auto _ : state) {
-    auto result = engine.Search("research xml", options);
-    CLAKS_CHECK(result.ok());
-    hits = result->hits.size();
-    benchmark::DoNotOptimize(hits);
-  }
-  state.SetLabel(std::to_string(hits) + " mtjnts");
-}
-BENCHMARK(BM_SearchMtjnt)->Args({1, 3})->Args({4, 3})->Args({1, 4});
 
 void BM_SearchDiscover(benchmark::State& state) {
   const KeywordSearchEngine& engine = CachedEngine(state.range(0));

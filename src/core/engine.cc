@@ -491,9 +491,7 @@ Result<std::vector<SearchHit>> KeywordSearchEngine::MaterializeHits(
       collect(targets, sources);
       break;
     }
-    case SearchMethod::kMtjnt:
-      trees = EnumerateMtjnt(*data_graph_, matches, options.tmax);
-      break;
+    case SearchMethod::kMtjnt:  // same semantics, one engine
     case SearchMethod::kDiscover:
       trees = DiscoverMtjnt(*data_graph_, *schema_graph_, matches,
                             options.tmax);

@@ -3,7 +3,8 @@
 #include "core/mtjnt.h"
 
 #include <algorithm>
-#include <deque>
+#include <functional>
+#include <optional>
 
 #include "common/macros.h"
 #include "common/string_util.h"
@@ -149,77 +150,22 @@ bool IsMinimalTotal(const DataGraph& graph, const TupleTree& tree,
   return true;
 }
 
-namespace {
-
-struct GrowState {
-  const DataGraph* graph;
-  const std::map<TupleId, uint32_t>* masks;
-  uint32_t num_keywords;
-  size_t tmax;
-  std::set<std::vector<uint32_t>> visited;  // canonical partial keys
-  std::set<TupleTree> results;
-
-  void Grow(std::set<uint32_t>* nodes, std::set<uint32_t>* edges) {
-    std::vector<uint32_t> key;
-    if (edges->empty()) {
-      key.push_back(0x80000000u | *nodes->begin());
-    } else {
-      key.assign(edges->begin(), edges->end());
-    }
-    if (!visited.insert(key).second) return;
-
-    TupleTree tree;
-    tree.nodes.assign(nodes->begin(), nodes->end());
-    tree.edge_indices.assign(edges->begin(), edges->end());
-    if (IsMinimalTotal(*graph, tree, *masks, num_keywords)) {
-      results.insert(tree);
-    }
-    if (nodes->size() >= tmax) return;
-
-    // Expand by one frontier edge. Copy the node list to keep iteration
-    // stable while mutating the sets.
-    std::vector<uint32_t> current(nodes->begin(), nodes->end());
-    for (uint32_t node : current) {
-      for (const DataAdjacency& adj : graph->Neighbors(node)) {
-        if (nodes->count(adj.neighbor) > 0) continue;  // no cycles
-        nodes->insert(adj.neighbor);
-        edges->insert(adj.edge_index);
-        Grow(nodes, edges);
-        edges->erase(adj.edge_index);
-        nodes->erase(adj.neighbor);
-      }
-    }
-  }
-};
-
-}  // namespace
-
-std::vector<TupleTree> EnumerateMtjnt(
-    const DataGraph& graph, const std::vector<KeywordMatches>& matches,
-    size_t tmax) {
-  if (matches.empty() || !AllKeywordsMatched(matches)) return {};
-  auto masks = ComputeKeywordMasks(matches);
-  GrowState state{&graph, &masks, static_cast<uint32_t>(matches.size()),
-                  tmax,   {},     {}};
-  // Every total tree contains a tuple matching keyword 0; seed from those.
-  for (const TupleMatch& m : matches[0].matches) {
-    std::set<uint32_t> nodes{graph.NodeOf(m.tuple)};
-    std::set<uint32_t> edges;
-    state.Grow(&nodes, &edges);
-  }
-  return std::vector<TupleTree>(state.results.begin(), state.results.end());
-}
-
 // ---------------------------------------------------------------------------
 // Candidate networks
 // ---------------------------------------------------------------------------
 
 namespace {
 
-// AHU-style canonical encoding of the CN rooted at `root`.
-std::string EncodeRooted(const CandidateNetwork& cn, uint32_t root,
-                         uint32_t parent_edge) {
-  std::vector<std::string> children;
+// Closes a node's token run in the AHU encoding below. Edge labels are
+// fk_index * 2 + direction, far below it, so the run decodes uniquely.
+constexpr uint32_t kCanonicalEnd = UINT32_MAX;
+
+// AHU-style canonical encoding of the CN rooted at `root`: the root's
+// table and mask, each child subtree as its edge label followed by its
+// own encoding (children in sorted order), then kCanonicalEnd.
+std::vector<uint32_t> EncodeRooted(const CandidateNetwork& cn, uint32_t root,
+                                   uint32_t parent_edge) {
+  std::vector<std::vector<uint32_t>> children;
   for (uint32_t e = 0; e < cn.edges.size(); ++e) {
     if (e == parent_edge) continue;
     const CandidateNetwork::Edge& edge = cn.edges[e];
@@ -236,25 +182,28 @@ std::string EncodeRooted(const CandidateNetwork& cn, uint32_t root,
     // Edge label as seen from root: fk index plus which side references.
     bool child_is_referencing = root_is_a ? !edge.a_is_referencing
                                           : edge.a_is_referencing;
-    std::string label = StrFormat("[%u%c", edge.fk_index,
-                                  child_is_referencing ? '<' : '>');
-    children.push_back(label + EncodeRooted(cn, child, e) + "]");
+    std::vector<uint32_t> encoded{edge.fk_index * 2 +
+                                  (child_is_referencing ? 1u : 0u)};
+    std::vector<uint32_t> subtree = EncodeRooted(cn, child, e);
+    encoded.insert(encoded.end(), subtree.begin(), subtree.end());
+    children.push_back(std::move(encoded));
   }
   std::sort(children.begin(), children.end());
-  std::string out = StrFormat("(%u;%u", cn.nodes[root].table,
-                              cn.nodes[root].keyword_mask);
-  for (const std::string& child : children) out += child;
-  out += ")";
+  std::vector<uint32_t> out{cn.nodes[root].table, cn.nodes[root].keyword_mask};
+  for (const std::vector<uint32_t>& child : children) {
+    out.insert(out.end(), child.begin(), child.end());
+  }
+  out.push_back(kCanonicalEnd);
   return out;
 }
 
 }  // namespace
 
-std::string CandidateNetwork::Canonical() const {
-  std::string best;
+std::vector<uint32_t> CandidateNetwork::Canonical() const {
+  std::vector<uint32_t> best;
   for (uint32_t root = 0; root < nodes.size(); ++root) {
-    std::string enc = EncodeRooted(*this, root, UINT32_MAX);
-    if (best.empty() || enc < best) best = enc;
+    std::vector<uint32_t> encoded = EncodeRooted(*this, root, UINT32_MAX);
+    if (best.empty() || encoded < best) best = std::move(encoded);
   }
   return best;
 }
@@ -290,9 +239,8 @@ struct CnGenState {
   const std::vector<std::vector<uint32_t>>* masks_per_table;
   uint32_t full_mask;
   size_t tmax;
-  std::set<std::string> visited;
+  std::set<std::vector<uint32_t>> visited;  // canonical CN keys
   std::vector<CandidateNetwork> accepted;
-  std::set<std::string> accepted_keys;
 
   uint32_t MaskUnion(const CandidateNetwork& cn, uint32_t excluded_node) {
     uint32_t acc = 0;
@@ -324,12 +272,9 @@ struct CnGenState {
   }
 
   void Expand(CandidateNetwork* cn) {
-    std::string key = cn->Canonical();
-    if (!visited.insert(key).second) return;
+    if (!visited.insert(cn->Canonical()).second) return;
 
-    if (Acceptable(*cn) && accepted_keys.insert(key).second) {
-      accepted.push_back(*cn);
-    }
+    if (Acceptable(*cn)) accepted.push_back(*cn);
     if (cn->size() >= tmax) return;
 
     // Prune: each free leaf needs at least one more node.
@@ -375,7 +320,7 @@ std::vector<CandidateNetwork> GenerateCandidateNetworks(
     uint32_t num_keywords, size_t tmax) {
   CLAKS_CHECK_EQ(masks_per_table.size(), schema_graph.num_tables());
   CnGenState state{&schema_graph, &masks_per_table,
-                   FullMask(num_keywords), tmax, {}, {}, {}};
+                   FullMask(num_keywords), tmax, {}, {}};
   for (uint32_t t = 0; t < masks_per_table.size(); ++t) {
     for (uint32_t mask : masks_per_table[t]) {
       CandidateNetwork cn;
@@ -422,96 +367,13 @@ uint32_t TupleMask(const std::map<TupleId, uint32_t>& masks, TupleId id) {
   return it == masks.end() ? 0u : it->second;
 }
 
-// The seed nested-loop evaluation: candidate tuple sets built by scanning
-// every CN node's table, join steps answered by filtering the anchor's
-// adjacency, membership checked with linear find.
-std::vector<TupleTree> EvaluateCandidateNetworkScan(
-    const DataGraph& graph, const CandidateNetwork& cn,
-    const std::map<TupleId, uint32_t>& masks, uint32_t num_keywords) {
-  const Database& db = graph.database();
-  // Candidate tuples per CN node.
-  std::vector<std::vector<uint32_t>> candidates(cn.nodes.size());
-  for (size_t i = 0; i < cn.nodes.size(); ++i) {
-    const CnNode& node = cn.nodes[i];
-    const Table& table = db.table(node.table);
-    for (uint32_t r = 0; r < table.num_rows(); ++r) {
-      if (table.IsDeleted(r)) continue;  // mask 0 would match tombstones
-      TupleId id{node.table, r};
-      if (TupleMask(masks, id) == node.keyword_mask) {
-        candidates[i].push_back(graph.NodeOf(id));
-      }
-    }
-  }
-
-  std::vector<uint32_t> order;
-  std::vector<std::optional<uint32_t>> via_edge;
-  OrderCnNodes(cn, &order, &via_edge);
-
-  std::set<TupleTree> results;
-  std::vector<uint32_t> assignment(cn.nodes.size(), UINT32_MAX);
-  std::vector<uint32_t> used_edges;
-
-  std::function<void(size_t)> assign = [&](size_t pos) {
-    if (pos == order.size()) {
-      TupleTree tree;
-      tree.nodes = assignment;
-      std::sort(tree.nodes.begin(), tree.nodes.end());
-      tree.edge_indices = used_edges;
-      std::sort(tree.edge_indices.begin(), tree.edge_indices.end());
-      if (IsMinimalTotal(graph, tree, masks, num_keywords)) {
-        results.insert(std::move(tree));
-      }
-      return;
-    }
-    uint32_t cn_node = order[pos];
-    if (pos == 0) {
-      for (uint32_t tuple_node : candidates[cn_node]) {
-        assignment[cn_node] = tuple_node;
-        assign(pos + 1);
-        assignment[cn_node] = UINT32_MAX;
-      }
-      return;
-    }
-    const auto& edge = cn.edges[*via_edge[cn_node]];
-    uint32_t other_cn = edge.a == cn_node ? edge.b : edge.a;
-    bool this_is_a = edge.a == cn_node;
-    bool this_referencing =
-        this_is_a ? edge.a_is_referencing : !edge.a_is_referencing;
-    uint32_t anchor = assignment[other_cn];
-    for (const DataAdjacency& adj : graph.Neighbors(anchor)) {
-      // adj.along_fk: anchor is the referencing side of this data edge.
-      bool neighbor_referencing = !adj.along_fk;
-      if (neighbor_referencing != this_referencing) continue;
-      const DataEdge& dedge = graph.edge(adj.edge_index);
-      if (dedge.fk_index != edge.fk_index) continue;
-      // Membership in the CN node's tuple set.
-      if (std::find(candidates[cn_node].begin(), candidates[cn_node].end(),
-                    adj.neighbor) == candidates[cn_node].end()) {
-        continue;
-      }
-      // Distinct tuples across the network.
-      if (std::find(assignment.begin(), assignment.end(), adj.neighbor) !=
-          assignment.end()) {
-        continue;
-      }
-      assignment[cn_node] = adj.neighbor;
-      used_edges.push_back(adj.edge_index);
-      assign(pos + 1);
-      used_edges.pop_back();
-      assignment[cn_node] = UINT32_MAX;
-    }
-  };
-  assign(0);
-
-  return std::vector<TupleTree>(results.begin(), results.end());
-}
+}  // namespace
 
 // Join-index evaluation. The root's candidate set comes from the (small)
 // mask map, never from a table scan; each join step resolves through a
 // per-CN-edge FkJoinIndex probe hoisted out of the recursion, and
-// tuple-set membership is a mask comparison instead of a candidate-list
-// find.
-std::vector<TupleTree> EvaluateCandidateNetworkIndexed(
+// tuple-set membership is a mask comparison.
+std::vector<TupleTree> EvaluateCandidateNetwork(
     const DataGraph& graph, const CandidateNetwork& cn,
     const std::map<TupleId, uint32_t>& masks, uint32_t num_keywords) {
   const Database& db = graph.database();
@@ -643,22 +505,9 @@ std::vector<TupleTree> EvaluateCandidateNetworkIndexed(
   return std::vector<TupleTree>(results.begin(), results.end());
 }
 
-}  // namespace
-
-std::vector<TupleTree> EvaluateCandidateNetwork(
-    const DataGraph& graph, const CandidateNetwork& cn,
-    const std::map<TupleId, uint32_t>& masks, uint32_t num_keywords,
-    CnEvalStrategy strategy) {
-  return strategy == CnEvalStrategy::kIndexed
-             ? EvaluateCandidateNetworkIndexed(graph, cn, masks,
-                                               num_keywords)
-             : EvaluateCandidateNetworkScan(graph, cn, masks, num_keywords);
-}
-
 std::vector<TupleTree> DiscoverMtjnt(
     const DataGraph& graph, const SchemaGraph& schema_graph,
-    const std::vector<KeywordMatches>& matches, size_t tmax,
-    CnEvalStrategy strategy) {
+    const std::vector<KeywordMatches>& matches, size_t tmax) {
   if (matches.empty() || !AllKeywordsMatched(matches)) return {};
   auto masks = ComputeKeywordMasks(matches);
   uint32_t num_keywords = static_cast<uint32_t>(matches.size());
@@ -679,8 +528,8 @@ std::vector<TupleTree> DiscoverMtjnt(
                                        num_keywords, tmax);
   std::set<TupleTree> all;
   for (const CandidateNetwork& cn : cns) {
-    for (TupleTree& tree : EvaluateCandidateNetwork(graph, cn, masks,
-                                                    num_keywords, strategy)) {
+    for (TupleTree& tree :
+         EvaluateCandidateNetwork(graph, cn, masks, num_keywords)) {
       all.insert(std::move(tree));
     }
   }

@@ -4,21 +4,20 @@
 // [Hristidis & Papakonstantinou, VLDB'02] — the approach the paper shows
 // "loses semantic connections or fragments the results" (§3).
 //
-// Two implementations are provided and cross-checked in tests:
-//  * an exact data-level enumerator growing tuple trees directly on the
-//    data graph (simple, reference semantics);
-//  * the DISCOVER pipeline: candidate-network (CN) generation over the
-//    schema-level tuple-set graph, then CN evaluation by joins.
+// The DISCOVER pipeline: candidate-network (CN) generation over the
+// schema-level tuple-set graph, then CN evaluation by join-index probes.
+// KeywordSearchEngine answers both SearchMethod::kMtjnt and kDiscover
+// with DiscoverMtjnt. The test oracle (tests/oracle/) keeps the exact
+// data-level growth enumerator and the seed nested-loop CN evaluator;
+// tests require DiscoverMtjnt to return their trees in the same order.
 //
 // Keyword tuple sets follow DISCOVER's partition semantics: tuple set
 // R^S contains the tuples of R whose set of matched query keywords is
 // exactly S; R^{} (the free tuple set) contains the keyword-free tuples.
 //
-// Entry points: EnumerateMtjnt (reference) and DiscoverMtjnt (CN pipeline);
-// KeywordSearchEngine dispatches to them for SearchMethod::kMtjnt and
-// kDiscover respectively. Both return TupleTrees, the result currency the
-// engine analyses and ranks (path-shaped trees convert to Connections for
-// the full close-association analysis).
+// Results are TupleTrees, the result currency the engine analyses and
+// ranks (path-shaped trees convert to Connections for the full
+// close-association analysis).
 
 #ifndef CLAKS_CORE_MTJNT_H_
 #define CLAKS_CORE_MTJNT_H_
@@ -82,12 +81,6 @@ bool IsMinimalTotal(const DataGraph& graph, const TupleTree& tree,
                     const std::map<TupleId, uint32_t>& masks,
                     uint32_t num_keywords);
 
-/// Exact data-level enumeration of all MTJNTs with at most `tmax` tuples.
-/// Deterministic order (sorted by node/edge sets).
-std::vector<TupleTree> EnumerateMtjnt(
-    const DataGraph& graph, const std::vector<KeywordMatches>& matches,
-    size_t tmax);
-
 // ---------------------------------------------------------------------------
 // DISCOVER candidate networks
 // ---------------------------------------------------------------------------
@@ -115,8 +108,9 @@ struct CandidateNetwork {
 
   size_t size() const { return nodes.size(); }
 
-  /// Canonical string (AHU tree encoding) for deduplication.
-  std::string Canonical() const;
+  /// Canonical token sequence (AHU tree encoding) for deduplication:
+  /// equal exactly when the two CNs are isomorphic as labelled trees.
+  std::vector<uint32_t> Canonical() const;
 
   std::string ToString(const Database& db,
                        const std::vector<std::string>& keywords) const;
@@ -131,35 +125,22 @@ std::vector<CandidateNetwork> GenerateCandidateNetworks(
     const std::vector<std::vector<uint32_t>>& masks_per_table,
     uint32_t num_keywords, size_t tmax);
 
-/// How EvaluateCandidateNetwork finds the tuples joining a CN edge.
-enum class CnEvalStrategy {
-  /// Per-FK hash join indexes (Database::JoinParent / JoinChildren): each
-  /// join step is an O(1) index probe plus its matching child range. The
-  /// production path.
-  kIndexed,
-  /// The seed nested-loop evaluation: per-node table scans and linear
-  /// candidate-membership checks. Kept as the reference implementation for
-  /// equivalence tests (tests/join_index_test.cc) and as the baseline the
-  /// scale benchmark (bench/bench_scale.cc) measures speedups against.
-  kScan,
-};
-
 /// Evaluates one CN against the data: every assignment of distinct tuples
 /// to CN nodes that respects tuple-set membership and the CN's join edges.
 /// Results are filtered to MTJNTs (total + minimal; CN-level conditions do
-/// not always guarantee tuple-level minimality). Both strategies return
-/// identical results; kIndexed never scans a table.
+/// not always guarantee tuple-level minimality). Each join step is a
+/// per-FK join-index probe (Database::JoinIndex); only a free root, which
+/// GenerateCandidateNetworks never produces, falls back to a table scan.
 std::vector<TupleTree> EvaluateCandidateNetwork(
     const DataGraph& graph, const CandidateNetwork& cn,
-    const std::map<TupleId, uint32_t>& masks, uint32_t num_keywords,
-    CnEvalStrategy strategy = CnEvalStrategy::kIndexed);
+    const std::map<TupleId, uint32_t>& masks, uint32_t num_keywords);
 
 /// Full DISCOVER pipeline: masks -> CN generation -> evaluation ->
-/// deduplicated MTJNTs. Equivalent to EnumerateMtjnt (tested).
+/// deduplicated MTJNTs of at most `tmax` tuples, sorted by TupleTree
+/// order (node set, then edge set).
 std::vector<TupleTree> DiscoverMtjnt(
     const DataGraph& graph, const SchemaGraph& schema_graph,
-    const std::vector<KeywordMatches>& matches, size_t tmax,
-    CnEvalStrategy strategy = CnEvalStrategy::kIndexed);
+    const std::vector<KeywordMatches>& matches, size_t tmax);
 
 }  // namespace claks
 

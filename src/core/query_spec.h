@@ -38,9 +38,13 @@ enum class SearchMethod {
   /// Full enumeration of simple paths between keyword matches (two-keyword
   /// queries). The complete result space of the paper's Table 2.
   kEnumerate,
-  /// MTJNT semantics (exact data-level enumeration).
+  /// MTJNT semantics: every minimal total joining network of at most
+  /// `tmax` tuples (core/mtjnt.h), answered by the DISCOVER pipeline.
   kMtjnt,
-  /// MTJNT via DISCOVER candidate networks (same results as kMtjnt).
+  /// The same answers by the same code as kMtjnt. Both names stay: kMtjnt
+  /// names the result semantics the paper argues against, kDiscover the
+  /// system that computes them, and callers, the CLI's --method names and
+  /// the benchmarks select either.
   kDiscover,
   /// BANKS backward expanding search (top-k answer trees).
   kBanks,

@@ -29,9 +29,9 @@ struct CompanyGenOptions {
 
   /// Options scaled `factor`x from the defaults: the department count
   /// grows linearly while per-department sizes stay fixed, so total rows
-  /// and FK edges scale linearly with `factor`. The scale benchmark
-  /// (bench/bench_scale.cc) and the join-index regression tests use these
-  /// rungs; factor 0 is treated as 1.
+  /// and FK edges scale linearly with `factor`. The benchmarks and the
+  /// join-index regression tests use these rungs; factor 0 is treated
+  /// as 1.
   static CompanyGenOptions AtScale(size_t factor);
 };
 

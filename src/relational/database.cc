@@ -514,19 +514,6 @@ const std::vector<FkEdge>& Database::ResolveAllFkEdges() const
   return all_fk_edges_;
 }
 
-std::vector<FkEdge> Database::ScanAllFkEdges() const {
-  std::vector<FkEdge> edges;
-  for (uint32_t t = 0; t < tables_.size(); ++t) {
-    const Table& tab = *tables_[t];
-    for (uint32_t r = 0; r < tab.num_rows(); ++r) {
-      if (tab.IsDeleted(r)) continue;
-      auto row_edges = ResolveFkEdgesFrom(TupleId{t, r});
-      edges.insert(edges.end(), row_edges.begin(), row_edges.end());
-    }
-  }
-  return edges;
-}
-
 std::vector<FkEdge> Database::ResolveFkEdgesFrom(TupleId id) const {
   std::vector<FkEdge> edges;
   const Table& tab = table(id.table);

@@ -245,11 +245,6 @@ class Database {
   /// instance is mutated.
   const std::vector<FkEdge>& ResolveAllFkEdges() const;
 
-  /// Uncached reference implementation of ResolveAllFkEdges: re-resolves
-  /// every FK by per-row hash probes. Kept for equivalence tests and as
-  /// the seed baseline in benchmarks; use ResolveAllFkEdges on hot paths.
-  std::vector<FkEdge> ScanAllFkEdges() const;
-
   /// Resolves the FK edges leaving one tuple (following each FK of its
   /// table). NULL-valued FKs yield no edge.
   std::vector<FkEdge> ResolveFkEdgesFrom(TupleId id) const;

@@ -3,9 +3,10 @@
 // Regression suite for the indexed execution layer: the per-FK join
 // indexes (relational/database.h) and the CSR data graph
 // (graph/data_graph.h) must agree exactly with the seed per-table scan
-// implementations, on the paper dataset and on a 10x company_gen
-// instance, and the indexed candidate-network evaluator must return the
-// seed evaluator's results verbatim.
+// implementations (the per-row scans of the test oracle, tests/oracle/),
+// on the paper dataset and on a 10x company_gen instance, and the indexed
+// candidate-network evaluator must return the oracle's seed nested-loop
+// evaluator's results verbatim.
 
 #include <algorithm>
 #include <map>
@@ -20,6 +21,7 @@
 #include "datasets/company_gen.h"
 #include "datasets/company_paper.h"
 #include "graph/data_graph.h"
+#include "oracle/mtjnt_oracle.h"
 #include "relational/database.h"
 
 namespace claks {
@@ -29,11 +31,11 @@ namespace {
 // id, entries pushed in FK-edge order, referencing side first. Node and
 // edge ids are slack-gapped per-table regions now, so the scan ordinal is
 // mapped to the matching graph edge id through EdgeIds(), which enumerates
-// live ids in the same table-major dense order as ScanAllFkEdges.
+// live ids in the same table-major dense order as oracle::ScanAllFkEdges.
 std::vector<std::vector<DataAdjacency>> ScanAdjacency(
     const Database& db, const DataGraph& graph) {
   std::vector<std::vector<DataAdjacency>> adjacency(graph.node_id_bound());
-  std::vector<FkEdge> edges = db.ScanAllFkEdges();
+  std::vector<FkEdge> edges = oracle::ScanAllFkEdges(db);
   std::vector<uint32_t> ids = graph.EdgeIds();
   EXPECT_EQ(ids.size(), edges.size());
   for (uint32_t e = 0; e < edges.size() && e < ids.size(); ++e) {
@@ -106,13 +108,26 @@ void ExpectJoinIndexMatchesScan(const Database& db) {
   }
 }
 
+std::vector<KeywordMatches> Match(const KeywordSearchEngine& engine,
+                                  const std::string& query) {
+  return MatchKeywords(engine.index(),
+                       ParseKeywordQuery(query, engine.index().tokenizer()));
+}
+
+// DISCOVER with join-index evaluation (production) and with the oracle's
+// seed nested-loop evaluation.
 std::vector<TupleTree> RunDiscover(const KeywordSearchEngine& engine,
-                                   const std::string& query,
-                                   CnEvalStrategy strategy, size_t tmax) {
-  auto parsed = ParseKeywordQuery(query, engine.index().tokenizer());
-  auto matches = MatchKeywords(engine.index(), parsed);
-  return DiscoverMtjnt(engine.data_graph(), engine.schema_graph(), matches,
-                       tmax, strategy);
+                                   const std::string& query, size_t tmax) {
+  return DiscoverMtjnt(engine.data_graph(), engine.schema_graph(),
+                       Match(engine, query), tmax);
+}
+
+std::vector<TupleTree> RunDiscoverScan(const KeywordSearchEngine& engine,
+                                       const std::string& query,
+                                       size_t tmax) {
+  return oracle::DiscoverMtjntScan(engine.data_graph(),
+                                   engine.schema_graph(),
+                                   Match(engine, query), tmax);
 }
 
 class JoinIndexPaperTest : public ::testing::Test {
@@ -133,7 +148,7 @@ class JoinIndexPaperTest : public ::testing::Test {
 
 TEST_F(JoinIndexPaperTest, CachedEdgesMatchScan) {
   const std::vector<FkEdge>& cached = dataset_.db->ResolveAllFkEdges();
-  std::vector<FkEdge> scanned = dataset_.db->ScanAllFkEdges();
+  std::vector<FkEdge> scanned = oracle::ScanAllFkEdges(*dataset_.db);
   ASSERT_EQ(cached.size(), scanned.size());
   for (size_t i = 0; i < cached.size(); ++i) {
     EXPECT_EQ(cached[i].from, scanned[i].from);
@@ -174,23 +189,20 @@ TEST_F(JoinIndexPaperTest, IndexedCnEvaluationMatchesScan) {
        {std::string("Smith XML"), std::string("Smith XML Alice"),
         std::string("Smith"), std::string("XML Alice")}) {
     for (size_t tmax : {3u, 5u}) {
-      auto indexed =
-          RunDiscover(*engine_, query, CnEvalStrategy::kIndexed, tmax);
-      auto scan = RunDiscover(*engine_, query, CnEvalStrategy::kScan, tmax);
+      auto indexed = RunDiscover(*engine_, query, tmax);
+      auto scan = RunDiscoverScan(*engine_, query, tmax);
       EXPECT_EQ(indexed, scan) << query << " tmax " << tmax;
     }
   }
 }
 
 // All search methods must return the seed implementation's result sets on
-// the paper dataset: DISCOVER (indexed) == exact MTJNT enumeration, and
-// the engine's kMtjnt/kDiscover hits carry identical trees.
+// the paper dataset: DISCOVER (indexed) == the oracle's exact MTJNT
+// enumeration, and the engine's kMtjnt/kDiscover hits carry its trees.
 TEST_F(JoinIndexPaperTest, SearchMethodsAgreeOnPaperDataset) {
-  auto parsed = ParseKeywordQuery("Smith XML", engine_->index().tokenizer());
-  auto matches = MatchKeywords(engine_->index(), parsed);
-  auto exact = EnumerateMtjnt(engine_->data_graph(), matches, 5);
-  auto discover = RunDiscover(*engine_, "Smith XML",
-                              CnEvalStrategy::kIndexed, 5);
+  auto exact = oracle::EnumerateMtjnt(engine_->data_graph(),
+                                      Match(*engine_, "Smith XML"), 5);
+  auto discover = RunDiscover(*engine_, "Smith XML", 5);
   EXPECT_EQ(exact, discover);
 
   SearchOptions mtjnt_options;
@@ -208,6 +220,8 @@ TEST_F(JoinIndexPaperTest, SearchMethodsAgreeOnPaperDataset) {
     return out;
   };
   EXPECT_EQ(trees(*mtjnt_result), trees(*discover_result));
+  EXPECT_EQ(trees(*mtjnt_result),
+            std::set<TupleTree>(exact.begin(), exact.end()));
 }
 
 TEST(JoinIndexGenTest, TenXCompanyGenSmoke) {
@@ -217,7 +231,7 @@ TEST(JoinIndexGenTest, TenXCompanyGenSmoke) {
   Database& db = *dataset.db;
 
   // Cached edge list identical to the seed scan.
-  std::vector<FkEdge> scanned = db.ScanAllFkEdges();
+  std::vector<FkEdge> scanned = oracle::ScanAllFkEdges(db);
   const std::vector<FkEdge>& cached = db.ResolveAllFkEdges();
   ASSERT_EQ(cached.size(), scanned.size());
   for (size_t i = 0; i < cached.size(); ++i) {
@@ -235,9 +249,8 @@ TEST(JoinIndexGenTest, TenXCompanyGenSmoke) {
   ASSERT_TRUE(engine.ok());
   ExpectAdjacencyMatchesScan(db, (*engine)->data_graph());
 
-  auto indexed =
-      RunDiscover(**engine, "smith xml", CnEvalStrategy::kIndexed, 4);
-  auto scan = RunDiscover(**engine, "smith xml", CnEvalStrategy::kScan, 4);
+  auto indexed = RunDiscover(**engine, "smith xml", 4);
+  auto scan = RunDiscoverScan(**engine, "smith xml", 4);
   EXPECT_FALSE(indexed.empty());
   EXPECT_EQ(indexed, scan);
 }

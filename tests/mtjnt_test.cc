@@ -1,7 +1,9 @@
 // Copyright 2026 The claks Authors.
 //
 // MTJNT semantics tests, including the paper's §3 claim that the MTJNT
-// approach loses connections 3, 4, 6 and 7 of its running example.
+// approach loses connections 3, 4, 6 and 7 of its running example, and
+// the cross-check of the DISCOVER pipeline against the test oracle's
+// data-level growth enumeration.
 
 #include "core/mtjnt.h"
 
@@ -11,8 +13,12 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 
+#include "core/engine.h"
+#include "datasets/company_gen.h"
 #include "datasets/company_paper.h"
+#include "oracle/mtjnt_oracle.h"
 
 namespace claks {
 namespace {
@@ -29,6 +35,12 @@ class MtjntTest : public ::testing::Test {
     matches_ = MatchKeywords(
         *index_, ParseKeywordQuery("Smith XML", index_->tokenizer()));
     masks_ = ComputeKeywordMasks(matches_);
+  }
+
+  // The production MTJNT path (what SearchMethod::kMtjnt runs).
+  std::vector<TupleTree> Mtjnts(const std::vector<KeywordMatches>& matches,
+                                size_t tmax) {
+    return DiscoverMtjnt(*graph_, *schema_graph_, matches, tmax);
   }
 
   uint32_t N(const std::string& name) {
@@ -101,7 +113,7 @@ TEST_F(MtjntTest, TotalityAndMinimality) {
 TEST_F(MtjntTest, PaperClaimTmax3LosesConnections3467) {
   // With Tmax = 3 tuples: connections 3 and 6 are excluded by minimality;
   // connections 4 and 7 exceed the size bound. Exactly the paper's claim.
-  auto mtjnts = EnumerateMtjnt(*graph_, matches_, 3);
+  auto mtjnts = Mtjnts(matches_, 3);
   EXPECT_TRUE(ContainsTree(mtjnts, Tree({"d1", "e1"})));            // 1
   EXPECT_TRUE(ContainsTree(mtjnts, Tree({"p1", "w_f1", "e1"})));    // 2
   EXPECT_FALSE(ContainsTree(mtjnts, Tree({"p1", "d1", "e1"})));     // 3
@@ -114,7 +126,7 @@ TEST_F(MtjntTest, PaperClaimTmax3LosesConnections3467) {
 }
 
 TEST_F(MtjntTest, Tmax4RecoversConnection7Only) {
-  auto mtjnts = EnumerateMtjnt(*graph_, matches_, 4);
+  auto mtjnts = Mtjnts(matches_, 4);
   // 7 is minimal (p3 carries no keyword), so the size bound was its only
   // obstacle.
   EXPECT_TRUE(ContainsTree(mtjnts, Tree({"d2", "p3", "w_f2", "e2"})));
@@ -126,7 +138,7 @@ TEST_F(MtjntTest, Tmax4RecoversConnection7Only) {
 
 TEST_F(MtjntTest, AllResultsAreMinimalAndTotal) {
   for (size_t tmax : {2, 3, 4, 5}) {
-    for (const TupleTree& tree : EnumerateMtjnt(*graph_, matches_, tmax)) {
+    for (const TupleTree& tree : Mtjnts(matches_, tmax)) {
       EXPECT_LE(tree.size(), tmax);
       EXPECT_TRUE(IsMinimalTotal(*graph_, tree, masks_, 2));
     }
@@ -136,13 +148,13 @@ TEST_F(MtjntTest, AllResultsAreMinimalAndTotal) {
 TEST_F(MtjntTest, UnmatchedKeywordYieldsNothing) {
   auto matches = MatchKeywords(
       *index_, ParseKeywordQuery("Smith quantum", index_->tokenizer()));
-  EXPECT_TRUE(EnumerateMtjnt(*graph_, matches, 4).empty());
+  EXPECT_TRUE(Mtjnts(matches, 4).empty());
 }
 
 TEST_F(MtjntTest, SingleKeywordSingleTupleTrees) {
   auto matches = MatchKeywords(
       *index_, ParseKeywordQuery("Smith", index_->tokenizer()));
-  auto mtjnts = EnumerateMtjnt(*graph_, matches, 3);
+  auto mtjnts = Mtjnts(matches, 3);
   // Each matched tuple alone is the minimal total network.
   ASSERT_EQ(mtjnts.size(), 2u);
   for (const TupleTree& tree : mtjnts) {
@@ -154,7 +166,7 @@ TEST_F(MtjntTest, ThreeKeywordTrees) {
   auto matches = MatchKeywords(
       *index_, ParseKeywordQuery("Smith XML Alice", index_->tokenizer()));
   ASSERT_TRUE(AllKeywordsMatched(matches));
-  auto mtjnts = EnumerateMtjnt(*graph_, matches, 6);
+  auto mtjnts = Mtjnts(matches, 6);
   ASSERT_FALSE(mtjnts.empty());
   auto masks = ComputeKeywordMasks(matches);
   for (const TupleTree& tree : mtjnts) {
@@ -197,16 +209,32 @@ TEST_F(MtjntTest, LeavesComputed) {
 
 // --- DISCOVER candidate-network pipeline ----------------------------------
 
-TEST_F(MtjntTest, DiscoverMatchesDataLevelEnumeration) {
-  for (size_t tmax : {2, 3, 4, 5}) {
-    auto data_level = EnumerateMtjnt(*graph_, matches_, tmax);
-    auto discover =
-        DiscoverMtjnt(*graph_, *schema_graph_, matches_, tmax);
-    EXPECT_EQ(data_level.size(), discover.size()) << "tmax " << tmax;
-    for (const TupleTree& tree : data_level) {
-      EXPECT_TRUE(ContainsTree(discover, tree));
+// DiscoverMtjnt must return the oracle's trees exactly: same trees, same
+// order, for every tmax from 2 to `max_tmax`. Each query must yield a tree
+// at some tmax, so a query that finds nothing cannot pass vacuously.
+void ExpectDiscoverMatchesOracle(const DataGraph& graph,
+                                 const SchemaGraph& schema_graph,
+                                 const InvertedIndex& index,
+                                 const std::vector<std::string>& queries,
+                                 size_t max_tmax) {
+  for (const std::string& query : queries) {
+    auto matches =
+        MatchKeywords(index, ParseKeywordQuery(query, index.tokenizer()));
+    ASSERT_TRUE(AllKeywordsMatched(matches)) << query;
+    size_t total = 0;
+    for (size_t tmax = 2; tmax <= max_tmax; ++tmax) {
+      auto expected = oracle::EnumerateMtjnt(graph, matches, tmax);
+      EXPECT_EQ(DiscoverMtjnt(graph, schema_graph, matches, tmax), expected)
+          << query << " tmax " << tmax;
+      total += expected.size();
     }
+    EXPECT_GT(total, 0u) << query;
   }
+}
+
+TEST_F(MtjntTest, DiscoverMatchesDataLevelEnumeration) {
+  ExpectDiscoverMatchesOracle(*graph_, *schema_graph_, *index_,
+                              {"Smith XML", "Smith XML Alice"}, 5);
 }
 
 TEST_F(MtjntTest, CandidateNetworksCoverKeywordsWithNonFreeLeaves) {
@@ -243,13 +271,26 @@ TEST_F(MtjntTest, CanonicalFormDeduplicates) {
   EXPECT_NE(a.Canonical(), c.Canonical());
 }
 
-TEST_F(MtjntTest, DiscoverThreeKeywords) {
-  auto matches = MatchKeywords(
-      *index_, ParseKeywordQuery("Smith XML Alice", index_->tokenizer()));
-  auto data_level = EnumerateMtjnt(*graph_, matches, 5);
-  auto discover = DiscoverMtjnt(*graph_, *schema_graph_, matches, 5);
-  EXPECT_EQ(data_level.size(), discover.size());
+// The same cross-check on generated company instances: tmax 2-5 at 1x,
+// 2-4 at 10x, which keeps the suite in seconds.
+class MtjntOracleGenTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(MtjntOracleGenTest, DiscoverMatchesDataLevelEnumeration) {
+  size_t scale = GetParam();
+  auto generated = GenerateCompanyDataset(CompanyGenOptions::AtScale(scale));
+  ASSERT_TRUE(generated.ok());
+  GeneratedDataset dataset = std::move(generated).ValueOrDie();
+  auto engine = KeywordSearchEngine::Create(
+      dataset.db.get(), dataset.er_schema, dataset.mapping);
+  ASSERT_TRUE(engine.ok());
+  ExpectDiscoverMatchesOracle(
+      (*engine)->data_graph(), (*engine)->schema_graph(), (*engine)->index(),
+      {"smith xml", "chen xml databases", "smith miller xml"},
+      scale == 1 ? 5 : 4);
 }
+
+INSTANTIATE_TEST_SUITE_P(Scales, MtjntOracleGenTest,
+                         ::testing::Values(1, 10));
 
 }  // namespace
 }  // namespace claks

@@ -13,6 +13,7 @@
 #include "datasets/bibliography.h"
 #include "datasets/company_gen.h"
 #include "datasets/movies.h"
+#include "oracle/mtjnt_oracle.h"
 
 namespace claks {
 namespace {
@@ -123,16 +124,23 @@ TEST_P(CompanyPropertyTest, MtjntIsSubsetOfEnumeration) {
 }
 
 TEST_P(CompanyPropertyTest, DiscoverAgreesWithDataLevelMtjnt) {
-  SearchOptions a;
-  a.method = SearchMethod::kMtjnt;
-  a.tmax = 3;
-  a.instance_check = false;
-  SearchOptions b = a;
-  b.method = SearchMethod::kDiscover;
-  auto ra = engine_->Search("research xml", a);
-  auto rb = engine_->Search("research xml", b);
-  if (!ra.ok() || !rb.ok()) GTEST_SKIP();
-  EXPECT_EQ(ra->hits.size(), rb->hits.size());
+  // Both MTJNT method names must return exactly the trees of the oracle's
+  // data-level growth enumeration, one hit per tree.
+  for (SearchMethod method : {SearchMethod::kMtjnt, SearchMethod::kDiscover}) {
+    SearchOptions options;
+    options.method = method;
+    options.tmax = 3;
+    options.instance_check = false;
+    auto result = engine_->Search("research xml", options);
+    if (!result.ok()) GTEST_SKIP();
+    std::set<TupleTree> trees;
+    for (const SearchHit& hit : result->hits) trees.insert(hit.tree);
+    auto expected =
+        oracle::EnumerateMtjnt(engine_->data_graph(), result->matches, 3);
+    EXPECT_EQ(std::vector<TupleTree>(trees.begin(), trees.end()), expected)
+        << SearchMethodToString(method);
+    EXPECT_EQ(result->hits.size(), expected.size());
+  }
 }
 
 TEST_P(CompanyPropertyTest, RankingIsTotalAndDeterministic) {
